@@ -51,15 +51,15 @@ struct PhaseCell {
 
 struct ThreadBuf {
   std::array<PhaseCell, kPhaseCount> phases{};
-  std::atomic<std::int32_t> worker{-1};
   std::mutex mu;  ///< guards the span log only (span recording is opt-in)
   std::vector<Span> spans;
   std::uint64_t next_seq = 0;
 };
 
 struct ProfState {
-  std::mutex mu;               ///< guards `bufs` registration
-  std::deque<ThreadBuf> bufs;  ///< stable addresses; never shrinks
+  std::mutex mu;                 ///< guards `bufs` and `free`
+  std::deque<ThreadBuf> bufs;    ///< stable addresses; grows to peak concurrency
+  std::vector<ThreadBuf*> free;  ///< returned by exited threads, counts intact
 };
 
 ProfState& state() {
@@ -67,16 +67,39 @@ ProfState& state() {
   return s;
 }
 
-thread_local ThreadBuf* tl_buf = nullptr;
-
-ThreadBuf& local_buf() {
-  if (tl_buf == nullptr) {
+/// The calling thread's buffer, returned to the free list at thread
+/// exit.  (Thread-local destructors run before static ones, so state()
+/// outlives every lease, the main thread's included.)
+struct Lease {
+  ThreadBuf* buf = nullptr;
+  Lease() = default;
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+  ~Lease() {
+    if (buf == nullptr) return;
     ProfState& s = state();
     const std::lock_guard<std::mutex> lock(s.mu);
-    s.bufs.emplace_back();
-    tl_buf = &s.bufs.back();
+    s.free.push_back(buf);
   }
-  return *tl_buf;
+};
+
+thread_local Lease tl_lease;
+thread_local std::int32_t tl_worker = -1;
+
+ThreadBuf& local_buf() {
+  Lease& lease = tl_lease;
+  if (lease.buf == nullptr) {
+    ProfState& s = state();
+    const std::lock_guard<std::mutex> lock(s.mu);
+    if (s.free.empty()) {
+      s.bufs.emplace_back();
+      lease.buf = &s.bufs.back();
+    } else {
+      lease.buf = s.free.back();
+      s.free.pop_back();
+    }
+  }
+  return *lease.buf;
 }
 
 constexpr const char* kPhaseNames[kPhaseCount] = {
@@ -88,6 +111,7 @@ constexpr const char* kPhaseNames[kPhaseCount] = {
     "sim.release",      // kRelease
     "sim.assign",       // kAssign
     "sim.admit",        // kAdmit
+    "partition.place",  // kPartitionPlace
     "pool.job",         // kPoolJob
 };
 
@@ -151,8 +175,7 @@ void record(Phase p, std::int32_t shard, Time slot, std::uint64_t ns) {
                std::memory_order_relaxed);
   if (span_recording()) {
     const std::lock_guard<std::mutex> lock(b.mu);
-    b.spans.push_back(Span{p, shard, b.worker.load(std::memory_order_relaxed),
-                           slot, ns, b.next_seq++});
+    b.spans.push_back(Span{p, shard, tl_worker, slot, ns, b.next_seq++});
   }
 }
 
@@ -169,8 +192,12 @@ void set_span_recording(bool on) noexcept {
   detail::g_spans.store(on, std::memory_order_relaxed);
 }
 
-void set_worker_index(std::int32_t index) noexcept {
-  local_buf().worker.store(index, std::memory_order_relaxed);
+void set_worker_index(std::int32_t index) noexcept { tl_worker = index; }
+
+std::size_t thread_buffers() {
+  ProfState& s = state();
+  const std::lock_guard<std::mutex> lock(s.mu);
+  return s.bufs.size();
 }
 
 Histogram sample_histogram() { return Histogram::exponential(32.0, 2.0, 26); }

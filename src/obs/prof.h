@@ -21,13 +21,17 @@
 // reads either.  Seeded simulator output is byte-identical with
 // profiling attached or detached — pinned by tests/obs/phase_trace_test.
 //
-// Threading: each thread accumulates into its own buffer (registered
-// once, under a global mutex).  The aggregate fields are single-writer
-// relaxed atomics — only the owning thread writes, collectors only
-// read — so collection from another thread is race-free (and exact at
-// quiesce points) with zero locking on the record path; only the
-// opt-in span log takes a per-buffer mutex.  Buffers persist for the
-// process lifetime; reset() zeroes them in place.
+// Threading: each thread accumulates into its own buffer, taken (under
+// a global mutex) on the thread's first recorded scope — a thread that
+// never records while profiling is on never takes one.  The aggregate
+// fields are single-writer relaxed atomics — only the owning thread
+// writes, collectors only read — so collection from another thread is
+// race-free (and exact at quiesce points) with zero locking on the
+// record path; only the opt-in span log takes a per-buffer mutex.  An
+// exiting thread returns its buffer, counts intact, to a free list for
+// the next thread to continue, so the buffer count is bounded by the
+// number of threads recording at once and totals still include exited
+// threads; reset() zeroes every buffer in place.
 #pragma once
 
 #include <atomic>
@@ -54,6 +58,7 @@ enum class Phase : std::uint8_t {
   kRelease,         ///< release calendar drain (legacy wheel)
   kAssign,          ///< processor assignment + per-slot accounting
   kAdmit,           ///< admission (admit()/join()) decision path
+  kPartitionPlace,  ///< partitioned (EDF-FF) task placement onto processors
   kPoolJob,         ///< one ThreadPool job execution (worker busy time)
 };
 inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kPoolJob) + 1;
@@ -84,11 +89,15 @@ inline bool span_recording() noexcept {
 void set_span_recording(bool on) noexcept;
 
 /// Labels the calling thread for span attribution (-1 = main/unnamed).
-/// engine::ThreadPool tags each worker with its index.
+/// engine::ThreadPool tags each worker with its index.  Takes no buffer.
 void set_worker_index(std::int32_t index) noexcept;
 
-/// One logged interval.  `seq` is per-thread monotone so span order is
-/// reconstructible even though wall durations vary run to run.
+/// Per-thread buffers allocated so far, in use or free for reuse.
+[[nodiscard]] std::size_t thread_buffers();
+
+/// One logged interval.  `seq` is monotone per buffer (so per thread)
+/// so span order is reconstructible even though wall durations vary
+/// run to run.
 struct Span {
   Phase phase = Phase::kKernelPhaseA;
   std::int32_t shard = -1;   ///< shard index, or -1 for coordinator work

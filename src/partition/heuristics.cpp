@@ -23,13 +23,11 @@ const char* heuristic_name(Heuristic h) noexcept {
   return "?";
 }
 
-namespace {
-
-[[nodiscard]] bool decreasing_variant(Heuristic h) noexcept {
+bool decreasing_variant(Heuristic h) noexcept {
   return h == Heuristic::kFirstFitDecreasing || h == Heuristic::kBestFitDecreasing;
 }
 
-[[nodiscard]] Heuristic base_rule(Heuristic h) noexcept {
+Heuristic base_rule(Heuristic h) noexcept {
   switch (h) {
     case Heuristic::kFirstFitDecreasing:
       return Heuristic::kFirstFit;
@@ -39,8 +37,6 @@ namespace {
       return h;
   }
 }
-
-}  // namespace
 
 PartitionResult partition(const std::vector<Rational>& u, int max_processors, Heuristic h) {
   assert(max_processors >= 0);

@@ -26,6 +26,13 @@ enum class Heuristic : std::uint8_t {
 
 [[nodiscard]] const char* heuristic_name(Heuristic h) noexcept;
 
+/// True for FFD/BFD, which sort by decreasing utilization before
+/// placing — so a later task can move earlier ones.
+[[nodiscard]] bool decreasing_variant(Heuristic h) noexcept;
+
+/// The rule a heuristic places with: FFD -> FF, BFD -> BF, else itself.
+[[nodiscard]] Heuristic base_rule(Heuristic h) noexcept;
+
 struct PartitionResult {
   /// assignment[i] = processor of task i, or -1 if it did not fit.
   std::vector<int> assignment;

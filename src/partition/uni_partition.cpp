@@ -22,88 +22,83 @@ const char* acceptance_name(Acceptance a) noexcept {
   return "?";
 }
 
-namespace {
+UniBins::UniBins(Heuristic h, Acceptance acc, int max_bins) noexcept
+    : heuristic_(h), rule_(base_rule(h)), acc_(acc), max_bins_(max_bins) {}
 
-[[nodiscard]] bool accepts(const std::vector<UniTask>& members, const UniTask& candidate,
-                           Acceptance acc) {
-  std::vector<UniTask> with = members;
-  with.push_back(candidate);
-  switch (acc) {
-    case Acceptance::kEdfUtilization:
-      return edf_schedulable(with);
+bool UniBins::accepts(Bin& bin, const UniTask& t) const {
+  switch (acc_) {
+    case Acceptance::kEdfUtilization: {
+      Rational u = bin.load;
+      u += Rational(t.execution, t.period);
+      return u <= Rational(1);
+    }
     case Acceptance::kRmLiuLayland:
-      return rm_schedulable_ll(with);
-    case Acceptance::kRmExact:
-      return rm_schedulable_exact(with);
+      return bin.load_double + t.utilization() <=
+             rm_utilization_bound(bin.members.size() + 1) + 1e-12;
+    case Acceptance::kRmExact: {
+      bin.members.push_back(t);
+      const bool ok = rm_schedulable_exact(bin.members);
+      bin.members.pop_back();
+      return ok;
+    }
   }
   return false;
 }
 
-/// Remaining utilization headroom, used for the best/worst-fit choice
-/// (acceptance may be non-utilization-based; headroom is still the
-/// conventional fit metric).
-[[nodiscard]] double load_of(const std::vector<UniTask>& members) {
-  return total_utilization(members);
+int UniBins::place(const UniTask& t) {
+  assert(t.valid());
+  int chosen = -1;
+  for (int b = 0; b < size(); ++b) {
+    Bin& bin = bins_[static_cast<std::size_t>(b)];
+    if (!accepts(bin, t)) continue;
+    if (rule_ == Heuristic::kFirstFit) {
+      chosen = b;
+      break;
+    }
+    // Best/worst fit compare the load before placement (acceptance may
+    // not be utilization-based; load is still the conventional metric).
+    if (chosen == -1) {
+      chosen = b;
+      continue;
+    }
+    const double cur = bins_[static_cast<std::size_t>(chosen)].load_double;
+    if (rule_ == Heuristic::kBestFit ? bin.load_double > cur : bin.load_double < cur)
+      chosen = b;
+  }
+  if (chosen == -1) {
+    Bin fresh;
+    if (size() >= max_bins_ || !accepts(fresh, t)) return -1;
+    bins_.push_back(std::move(fresh));
+    chosen = size() - 1;
+  }
+  Bin& bin = bins_[static_cast<std::size_t>(chosen)];
+  bin.load += Rational(t.execution, t.period);
+  bin.load_double += t.utilization();
+  bin.members.push_back(t);
+  return chosen;
 }
 
-}  // namespace
-
-UniPartitionResult partition_uni(const std::vector<UniTask>& tasks, int max_processors,
-                                 Heuristic h, Acceptance acc) {
-  UniPartitionResult res;
-  res.assignment.assign(tasks.size(), -1);
-  res.feasible = true;
-
+std::vector<int> UniBins::place_all(const std::vector<UniTask>& tasks) {
   std::vector<std::size_t> order(tasks.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  const bool decreasing =
-      h == Heuristic::kFirstFitDecreasing || h == Heuristic::kBestFitDecreasing;
-  if (decreasing) {
+  if (decreasing_variant(heuristic_)) {
     std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return tasks[a].utilization() > tasks[b].utilization();
     });
   }
-  const Heuristic rule = decreasing
-                             ? (h == Heuristic::kFirstFitDecreasing ? Heuristic::kFirstFit
-                                                                    : Heuristic::kBestFit)
-                             : h;
+  std::vector<int> assignment(tasks.size(), -1);
+  for (const std::size_t i : order) assignment[i] = place(tasks[i]);
+  return assignment;
+}
 
-  std::vector<std::vector<UniTask>> procs;
-  std::vector<std::vector<std::size_t>> proc_members;
-
-  for (const std::size_t i : order) {
-    assert(tasks[i].valid());
-    int chosen = -1;
-    for (int pnum = 0; pnum < static_cast<int>(procs.size()); ++pnum) {
-      if (!accepts(procs[static_cast<std::size_t>(pnum)], tasks[i], acc)) continue;
-      if (rule == Heuristic::kFirstFit) {
-        chosen = pnum;
-        break;
-      }
-      if (chosen == -1) {
-        chosen = pnum;
-        continue;
-      }
-      const double cur = load_of(procs[static_cast<std::size_t>(chosen)]);
-      const double cand = load_of(procs[static_cast<std::size_t>(pnum)]);
-      if (rule == Heuristic::kBestFit ? cand > cur : cand < cur) chosen = pnum;
-    }
-    if (chosen == -1) {
-      if (static_cast<int>(procs.size()) < max_processors &&
-          accepts({}, tasks[i], acc)) {
-        procs.emplace_back();
-        proc_members.emplace_back();
-        chosen = static_cast<int>(procs.size()) - 1;
-      } else {
-        res.feasible = false;
-        continue;
-      }
-    }
-    procs[static_cast<std::size_t>(chosen)].push_back(tasks[i]);
-    proc_members[static_cast<std::size_t>(chosen)].push_back(i);
-    res.assignment[i] = chosen;
-  }
-  res.processors_used = static_cast<int>(procs.size());
+UniPartitionResult partition_uni(const std::vector<UniTask>& tasks, int max_processors,
+                                 Heuristic h, Acceptance acc) {
+  UniBins bins(h, acc, max_processors);
+  UniPartitionResult res;
+  res.assignment = bins.place_all(tasks);
+  res.processors_used = bins.size();
+  res.feasible = std::find(res.assignment.begin(), res.assignment.end(), -1) ==
+                 res.assignment.end();
   return res;
 }
 

@@ -1,34 +1,38 @@
 #include "uniproc/partitioned_sim.h"
 
+#include "obs/prof.h"
+
 namespace pfair {
 
 PartitionedSimulator::PartitionedSimulator(const std::vector<UniTask>& tasks,
                                            PartitionConfig config)
-    : tasks_(tasks), config_(config) {
-  rebuild();
+    : tasks_(tasks),
+      config_(config),
+      bins_(config.heuristic, config.acceptance, config.max_processors) {
+  const obs::prof::ProfScope prof(obs::prof::Phase::kPartitionPlace);
+  adopt_partition(bins_.place_all(tasks_));
 }
 
-void PartitionedSimulator::rebuild() {
-  const UniPartitionResult part =
-      partition_uni(tasks_, config_.max_processors, config_.heuristic, config_.acceptance);
-  assignment_ = part.assignment;
+void PartitionedSimulator::adopt_partition(std::vector<int> assignment) {
+  assignment_ = std::move(assignment);
   unplaced_.clear();
-  std::vector<std::vector<UniTask>> groups(static_cast<std::size_t>(part.processors_used));
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (part.assignment[i] < 0) {
-      unplaced_.push_back(i);
-      continue;
-    }
-    groups[static_cast<std::size_t>(part.assignment[i])].push_back(tasks_[i]);
-  }
-  UniSimConfig uc;
-  uc.algorithm = config_.algorithm;
-  uc.measure_overhead = config_.measure_overhead;
+  for (std::size_t i = 0; i < assignment_.size(); ++i)
+    if (assignment_[i] < 0) unplaced_.push_back(i);
   sims_.clear();
-  sims_.reserve(groups.size());
-  for (auto& g : groups) sims_.emplace_back(std::move(g), uc);
-  for (std::size_t p = 0; p < sims_.size(); ++p)
-    sims_[p].set_observer(bus_, static_cast<ProcId>(p));
+  sims_.reserve(static_cast<std::size_t>(bins_.size()));
+  for (int p = 0; p < bins_.size(); ++p)
+    for (const UniTask& t : bins_.members(p)) put(p, t);
+}
+
+void PartitionedSimulator::put(int proc, const UniTask& t) {
+  if (proc == processors()) {
+    UniSimConfig uc;
+    uc.algorithm = config_.algorithm;
+    uc.measure_overhead = config_.measure_overhead;
+    sims_.emplace_back(std::vector<UniTask>{}, uc);
+    sims_.back().set_observer(bus_, static_cast<ProcId>(proc));
+  }
+  sims_[static_cast<std::size_t>(proc)].admit(engine::task_spec(t.execution, t.period));
 }
 
 void PartitionedSimulator::attach_observer(obs::EventBus* bus) {
@@ -43,13 +47,29 @@ bool PartitionedSimulator::admit(const engine::TaskSpec& spec) {
     ++rejected_;
     return false;
   }
-  tasks_.push_back(t);
-  rebuild();
-  if (assignment_.back() < 0) {
-    tasks_.pop_back();
-    rebuild();
-    ++rejected_;
-    return false;
+  const obs::prof::ProfScope prof(obs::prof::Phase::kPartitionPlace);
+  if (decreasing_variant(config_.heuristic)) {
+    // A later task can move earlier ones: re-partition the enlarged set
+    // and adopt it only if the new task found a bin.
+    tasks_.push_back(t);
+    UniBins bins(config_.heuristic, config_.acceptance, config_.max_processors);
+    std::vector<int> assignment = bins.place_all(tasks_);
+    if (assignment.back() < 0) {
+      tasks_.pop_back();
+      ++rejected_;
+      return false;
+    }
+    bins_ = std::move(bins);
+    adopt_partition(std::move(assignment));
+  } else {
+    const int proc = bins_.place(t);
+    if (proc < 0) {
+      ++rejected_;
+      return false;
+    }
+    tasks_.push_back(t);
+    assignment_.push_back(proc);
+    put(proc, t);
   }
   ++admitted_;
   return true;
@@ -67,8 +87,8 @@ void PartitionedSimulator::run_until(Time until) {
 const engine::Metrics& PartitionedSimulator::metrics() const {
   aggregate_ = engine::Metrics{};
   for (const UniprocSimulator& sim : sims_) aggregate_.merge(sim.metrics());
-  // Admission happens at the ensemble, not in the member schedulers
-  // (they are rebuilt from already-placed tasks).
+  // Admission is decided by the ensemble: the member simulators count
+  // the tasks handed to them, these counters count the requests.
   aggregate_.tasks_admitted = admitted_;
   aggregate_.tasks_rejected = rejected_;
   return aggregate_;

@@ -34,9 +34,11 @@ class PartitionedSimulator : public engine::Simulator {
   /// builds one uniprocessor simulator per opened processor.
   PartitionedSimulator(const std::vector<UniTask>& tasks, PartitionConfig config);
 
-  /// Admission before the simulation starts re-runs the partitioning
-  /// over the enlarged set; returns false once run_until() has advanced
-  /// time, or when the new task cannot be placed.
+  /// Admission before the simulation starts places the new task with
+  /// the same rule the constructor used: FF/BF/WF put it on one bin in
+  /// O(processors) without touching earlier tasks, FFD/BFD re-partition
+  /// the enlarged set.  Returns false once run_until() has advanced
+  /// time, or when the new task cannot be placed (nothing changes).
   bool admit(const engine::TaskSpec& spec) override;
   using engine::Simulator::admit;
 
@@ -61,20 +63,26 @@ class PartitionedSimulator : public engine::Simulator {
   /// Observation: each member simulator stamps its events with its
   /// global processor id.  Task ids in the events are processor-local
   /// (the index within that processor's partition), since the members
-  /// schedule independently.  Survives admit()'s re-partitioning.
+  /// schedule independently.  Processors opened by later admits are
+  /// attached too.
   void attach_observer(obs::EventBus* bus) override;
 
  private:
-  /// (Re)partitions tasks_ and rebuilds the per-processor simulators.
-  void rebuild();
+  /// Adopts bins_, a whole-set partition of tasks_ with the given
+  /// per-task assignment, and rebuilds the per-processor simulators.
+  void adopt_partition(std::vector<int> assignment);
+  /// Hands `t` to processor `proc`'s simulator, opening (and attaching)
+  /// that processor when it is new.
+  void put(int proc, const UniTask& t);
 
   std::vector<UniTask> tasks_;
   PartitionConfig config_;
+  UniBins bins_;
   std::vector<UniprocSimulator> sims_;  ///< movable: vector relocation is safe
   std::vector<int> assignment_;
   std::vector<std::size_t> unplaced_;
   Time now_ = 0;
-  obs::EventBus* bus_ = nullptr;       ///< borrowed; reattached on rebuild()
+  obs::EventBus* bus_ = nullptr;       ///< borrowed; attached to every processor
   // admit() outcomes; the member simulators only ever see placed tasks,
   // so these counters live on the ensemble and are stitched into the
   // aggregate by metrics().

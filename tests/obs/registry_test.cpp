@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/parallel.h"
 #include "obs/prof.h"
 #include "obs/registry.h"
 
@@ -160,7 +161,8 @@ TEST_F(ProfTest, CollectionMergesAcrossThreads) {
     });
   }
   for (std::thread& t : threads) t.join();
-  const auto& pool = prof::collect_totals()[static_cast<std::size_t>(prof::Phase::kPoolJob)];
+  const prof::PhaseTotals pool =
+      prof::collect_totals()[static_cast<std::size_t>(prof::Phase::kPoolJob)];
   EXPECT_EQ(pool.count, 40u);
   EXPECT_EQ(pool.hist.total(), 40u);
 }
@@ -173,6 +175,47 @@ TEST_F(ProfTest, ResetZeroesInPlace) {
   for (const prof::PhaseTotals& t : prof::collect_totals()) EXPECT_EQ(t.count, 0u);
   EXPECT_TRUE(prof::collect_spans().empty());
   EXPECT_TRUE(prof::enabled());  // reset() does not touch the switches
+}
+
+TEST_F(ProfTest, ShortLivedPoolsTakeNoBuffersWhileDisabled) {
+  const std::size_t before = prof::thread_buffers();
+  for (int round = 0; round < 200; ++round) {
+    engine::ThreadPool pool(2);
+    pool.submit([] { const prof::ProfScope s(prof::Phase::kAdmit); });
+    pool.wait();
+  }
+  EXPECT_EQ(prof::thread_buffers(), before);
+}
+
+TEST_F(ProfTest, BuffersBoundedByConcurrentThreadsWhileEnabled) {
+  prof::set_enabled(true);
+  { const prof::ProfScope s(prof::Phase::kAdmit); }  // the main thread's buffer
+  const std::size_t before = prof::thread_buffers();
+  constexpr int kWorkers = 4;
+  for (int round = 0; round < 50; ++round) {
+    engine::ThreadPool pool(kWorkers);
+    for (int j = 0; j < 2 * kWorkers; ++j)
+      pool.submit([] { const prof::ProfScope s(prof::Phase::kAdmit); });
+    pool.wait();
+  }
+  // Exited workers hand their buffers to the next pool's workers.
+  EXPECT_LE(prof::thread_buffers(), before + kWorkers);
+  const prof::PhaseTotals admit =
+      prof::collect_totals()[static_cast<std::size_t>(prof::Phase::kAdmit)];
+  EXPECT_EQ(admit.count, 1u + 50u * 2u * kWorkers);
+}
+
+TEST_F(ProfTest, ExitedThreadCountsStayInTotals) {
+  prof::set_enabled(true);
+  std::thread([] {
+    for (int i = 0; i < 10; ++i) {
+      const prof::ProfScope s(prof::Phase::kPartitionPlace);
+    }
+  }).join();
+  const prof::PhaseTotals place =
+      prof::collect_totals()[static_cast<std::size_t>(prof::Phase::kPartitionPlace)];
+  EXPECT_EQ(place.count, 10u);
+  EXPECT_STREQ(prof::phase_name(prof::Phase::kPartitionPlace), "partition.place");
 }
 
 }  // namespace
