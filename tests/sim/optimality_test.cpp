@@ -4,7 +4,12 @@
 // processors — including fully utilised systems (sum of weights == M).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <initializer_list>
 #include <tuple>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "sim/pfair_sim.h"
 #include "workload/generator.h"
@@ -46,13 +51,29 @@ TEST_P(OptimalityTest, RandomFeasibleSetsNeverMiss) {
   }
 }
 
+// gtest names a parameter that has no PrintTo by its raw bytes, padding
+// included, and copies it bytewise.  Cases built here are zeroed whole and
+// then have only their members assigned, so those bytes — and the test
+// names — are the same on every run.
+std::vector<Case> cases(Algorithm alg, std::initializer_list<std::pair<int, bool>> ms) {
+  static_assert(std::is_trivially_copyable_v<Case>);
+  std::vector<Case> out(ms.size());
+  std::memset(static_cast<void*>(out.data()), 0, out.size() * sizeof(Case));
+  std::size_t i = 0;
+  for (const auto& [m, fill] : ms) {
+    out[i].alg = alg;
+    out[i].processors = m;
+    out[i].fill = fill;
+    ++i;
+  }
+  return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PD2, OptimalityTest,
-    ::testing::Values(Case{Algorithm::kPD2, 1, false}, Case{Algorithm::kPD2, 2, false},
-                      Case{Algorithm::kPD2, 3, false}, Case{Algorithm::kPD2, 4, false},
-                      Case{Algorithm::kPD2, 8, false}, Case{Algorithm::kPD2, 1, true},
-                      Case{Algorithm::kPD2, 2, true}, Case{Algorithm::kPD2, 3, true},
-                      Case{Algorithm::kPD2, 4, true}, Case{Algorithm::kPD2, 8, true}),
+    ::testing::ValuesIn(cases(Algorithm::kPD2, {{1, false}, {2, false}, {3, false}, {4, false},
+                                                {8, false}, {1, true}, {2, true}, {3, true},
+                                                {4, true}, {8, true}})),
     [](const auto& info) {
       return std::string("m") + std::to_string(info.param.processors) +
              (info.param.fill ? "_full" : "_slack");
@@ -60,9 +81,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     PF, OptimalityTest,
-    ::testing::Values(Case{Algorithm::kPF, 2, true}, Case{Algorithm::kPF, 3, true},
-                      Case{Algorithm::kPF, 4, true}, Case{Algorithm::kPF, 2, false},
-                      Case{Algorithm::kPF, 4, false}),
+    ::testing::ValuesIn(cases(Algorithm::kPF, {{2, true}, {3, true}, {4, true}, {2, false},
+                                               {4, false}})),
     [](const auto& info) {
       return std::string("m") + std::to_string(info.param.processors) +
              (info.param.fill ? "_full" : "_slack");
@@ -70,9 +90,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     PD, OptimalityTest,
-    ::testing::Values(Case{Algorithm::kPD, 2, true}, Case{Algorithm::kPD, 3, true},
-                      Case{Algorithm::kPD, 4, true}, Case{Algorithm::kPD, 2, false},
-                      Case{Algorithm::kPD, 4, false}),
+    ::testing::ValuesIn(cases(Algorithm::kPD, {{2, true}, {3, true}, {4, true}, {2, false},
+                                               {4, false}})),
     [](const auto& info) {
       return std::string("m") + std::to_string(info.param.processors) +
              (info.param.fill ? "_full" : "_slack");
