@@ -10,13 +10,12 @@
 // unified metrics read-out per scheduler.
 //
 // Usage: compare_runtime [--processors=4] [--horizon=20000] [--trials=10]
-//                        [--seed=1] [--jobs=N] [--shards=N] [--soa=0|1]
-//                        [--simd=0|1] [--kind=edf-ff|bf|run] [--json]
+//                        [--seed=1] [--jobs=N] [--shards=N]
+//                        [--kind=edf-ff|bf|run] [--json]
 //
-// --shards shards the PD2 SoA slot kernel inside each quantum; --soa=0
-// selects the legacy heap+wheel kernel and --simd=0 the scalar sweeps.
-// All three leave the report byte-identical (only wall time moves) —
-// the CI shard-parity leg cmp's --shards=1 against --shards=2.
+// --shards shards the PD2 SoA slot kernel inside each quantum; it
+// leaves the report byte-identical (only wall time moves) — the CI
+// shard-parity leg cmp's --shards=1 against --shards=2.
 //
 // --kind swaps the runtime PD2 is compared against.  The default is the
 // paper's partitioned EDF-FF; bf and run select the successor roster
@@ -116,8 +115,6 @@ int main(int argc, char** argv) {
   pd2c.processors = m;
   pd2c.algorithm = Algorithm::kPD2;
   pd2c.shards = h.shards();
-  pd2c.soa_kernel = h.flag("soa", 1) != 0;
-  pd2c.simd = h.flag("simd", 1) != 0;
   std::vector<engine::SchedulerSpec> specs = {engine::pfair_spec("PD2", pd2c)};
   if (kind == "bf") {
     BfConfig bc;

@@ -14,7 +14,8 @@ namespace {
 
 using namespace pfair;
 
-std::vector<SubtaskRef> make_refs(std::size_t n, std::uint64_t seed, bool heavy_ties) {
+std::vector<SubtaskRef> make_refs(std::size_t n, std::uint64_t seed, bool heavy_ties,
+                                  Algorithm alg = Algorithm::kPD2) {
   Rng rng(seed);
   std::vector<SubtaskRef> refs;
   refs.reserve(n);
@@ -28,7 +29,7 @@ std::vector<SubtaskRef> make_refs(std::size_t n, std::uint64_t seed, bool heavy_
       p = rng.uniform_int(1, 64);
       e = rng.uniform_int(1, p);
     }
-    refs.push_back(make_subtask_ref(id, e, p, rng.uniform_int(1, e), 0));
+    refs.push_back(make_subtask_ref(id, e, p, rng.uniform_int(1, e), 0, alg));
   }
   return refs;
 }
@@ -59,27 +60,14 @@ BENCHMARK(BM_PF_Compare);
 BENCHMARK(BM_PD2_Compare_HeavyTies);
 BENCHMARK(BM_PF_Compare_HeavyTies);
 
-// Packed-key comparison vs the legacy tie-break chain it replaces: the
-// same ref population compared through SubtaskPriority with packing on
-// (one 128-bit integer compare) and off (4-branch cascade).  This is
-// the per-sift cost the calendar queue and heap pay on the hot path.
-void bm_priority_compare(benchmark::State& state, Algorithm alg, bool packed,
-                         bool heavy_ties) {
-  const Algorithm ref_alg = packed ? alg : Algorithm::kWRR;  // kWRR never packs
-  Rng rng(42);
-  std::vector<SubtaskRef> refs;
-  for (TaskId id = 0; id < 256; ++id) {
-    std::int64_t p, e;
-    if (heavy_ties) {
-      p = rng.uniform_int(8, 12);
-      e = rng.uniform_int((p + 1) / 2, p - 1);
-    } else {
-      p = rng.uniform_int(1, 64);
-      e = rng.uniform_int(1, p);
-    }
-    refs.push_back(make_subtask_ref(id, e, p, rng.uniform_int(1, e), 0, ref_alg));
-  }
-  const SubtaskPriority pri(alg, packed);
+// Packed-key comparison: the populations above, packed for `alg` and
+// compared through SubtaskPriority — one 128-bit integer compare instead
+// of the comparator chain the BM_*_Compare rows time (which stays the
+// live path for PF and for refs whose fields do not fit a key).  This is
+// the per-compare cost of the slot kernel's top-M selection.
+void bm_packed_compare(benchmark::State& state, Algorithm alg, bool heavy_ties) {
+  const auto refs = make_refs(256, 42, heavy_ties, alg);
+  const SubtaskPriority pri(alg);
   std::size_t i = 0;
   std::size_t j = 128;
   for (auto _ : state) {
@@ -90,94 +78,20 @@ void bm_priority_compare(benchmark::State& state, Algorithm alg, bool packed,
 }
 
 void BM_PD2_Compare_Packed(benchmark::State& s) {
-  bm_priority_compare(s, Algorithm::kPD2, true, false);
-}
-void BM_PD2_Compare_Legacy(benchmark::State& s) {
-  bm_priority_compare(s, Algorithm::kPD2, false, false);
+  bm_packed_compare(s, Algorithm::kPD2, false);
 }
 void BM_PD2_Compare_Packed_HeavyTies(benchmark::State& s) {
-  bm_priority_compare(s, Algorithm::kPD2, true, true);
+  bm_packed_compare(s, Algorithm::kPD2, true);
 }
-void BM_PD2_Compare_Legacy_HeavyTies(benchmark::State& s) {
-  bm_priority_compare(s, Algorithm::kPD2, false, true);
-}
-void BM_PD_Compare_Packed(benchmark::State& s) {
-  bm_priority_compare(s, Algorithm::kPD, true, false);
-}
-void BM_PD_Compare_Legacy(benchmark::State& s) {
-  bm_priority_compare(s, Algorithm::kPD, false, false);
-}
+void BM_PD_Compare_Packed(benchmark::State& s) { bm_packed_compare(s, Algorithm::kPD, false); }
 void BM_EPDF_Compare_Packed(benchmark::State& s) {
-  bm_priority_compare(s, Algorithm::kEPDF, true, false);
-}
-void BM_EPDF_Compare_Legacy(benchmark::State& s) {
-  bm_priority_compare(s, Algorithm::kEPDF, false, false);
+  bm_packed_compare(s, Algorithm::kEPDF, false);
 }
 
 BENCHMARK(BM_PD2_Compare_Packed);
-BENCHMARK(BM_PD2_Compare_Legacy);
 BENCHMARK(BM_PD2_Compare_Packed_HeavyTies);
-BENCHMARK(BM_PD2_Compare_Legacy_HeavyTies);
 BENCHMARK(BM_PD_Compare_Packed);
-BENCHMARK(BM_PD_Compare_Legacy);
 BENCHMARK(BM_EPDF_Compare_Packed);
-BENCHMARK(BM_EPDF_Compare_Legacy);
-
-// Steady-state ready-queue churn at queue depth N: one push + one pop of
-// the minimum per iteration against a resident population, the mix the
-// slot kernel drives every quantum.  Refs are prebuilt outside the timed
-// loop so the numbers isolate the queue itself.
-std::vector<SubtaskRef> resident_refs(std::size_t n, Algorithm alg) {
-  Rng rng(7);
-  std::vector<SubtaskRef> refs;
-  for (TaskId id = 0; id < 2 * n; ++id) {
-    const std::int64_t p = rng.uniform_int(2, 64);
-    const std::int64_t e = rng.uniform_int(1, p);
-    refs.push_back(make_subtask_ref(id, e, p, rng.uniform_int(1, e),
-                                    rng.uniform_int(0, 128), alg));
-  }
-  return refs;
-}
-
-void bm_heap_push_pop(benchmark::State& state, bool packed) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const Algorithm alg = packed ? Algorithm::kPD2 : Algorithm::kWRR;
-  const auto refs = resident_refs(n, alg);
-  BinaryHeap<SubtaskRef, SubtaskPriority> heap(SubtaskPriority(Algorithm::kPD2, packed));
-  for (std::size_t i = 0; i < n; ++i) heap.push(refs[i]);
-  std::size_t next = n;
-  for (auto _ : state) {
-    heap.push(refs[next]);
-    next = (next + 1) % refs.size();
-    benchmark::DoNotOptimize(heap.pop());
-  }
-}
-
-void BM_SubtaskHeap_PushPop_Packed(benchmark::State& s) { bm_heap_push_pop(s, true); }
-void BM_SubtaskHeap_PushPop_Legacy(benchmark::State& s) { bm_heap_push_pop(s, false); }
-BENCHMARK(BM_SubtaskHeap_PushPop_Packed)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_SubtaskHeap_PushPop_Legacy)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-// Erase-by-handle at depth N (the deadline-miss / departure path): one
-// push + one erase of a rotating resident handle per iteration.
-void bm_heap_erase(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto refs = resident_refs(n, Algorithm::kPD2);
-  BinaryHeap<SubtaskRef, SubtaskPriority> heap(SubtaskPriority(Algorithm::kPD2, true));
-  std::vector<HeapHandle> handles;
-  for (std::size_t i = 0; i < n; ++i) handles.push_back(heap.push(refs[i]));
-  std::size_t victim = 0;
-  std::size_t next = n;
-  for (auto _ : state) {
-    heap.erase(handles[victim]);
-    handles[victim] = heap.push(refs[next]);
-    next = (next + 1) % refs.size();
-    victim = (victim + 1) % handles.size();
-  }
-}
-
-void BM_SubtaskHeap_Erase(benchmark::State& s) { bm_heap_erase(s); }
-BENCHMARK(BM_SubtaskHeap_Erase)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_MakeSubtaskRef(benchmark::State& state) {
   // Cost of computing (r, d, b, D) for one subtask — the per-schedule

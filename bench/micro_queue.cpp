@@ -1,10 +1,15 @@
 // Ready-queue microbenchmarks: binary-heap operations at the queue
-// sizes the Fig.-2 experiments reach.  Both schedulers in the paper use
-// binary heaps; this isolates the data-structure contribution to the
-// measured scheduling overhead.
+// sizes the Fig.-2 experiments reach.  The uniprocessor EDF/RM
+// simulator's ready queue and release calendar are these heaps; this
+// isolates the data-structure contribution to EDF's measured
+// scheduling overhead.  (PD2's slot kernel keeps no queue — see
+// micro_soa.)
 #include <benchmark/benchmark.h>
 
-#include "core/priority.h"
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "util/binary_heap.h"
 #include "util/rng.h"
 
@@ -23,25 +28,6 @@ void BM_HeapPushPop_Int(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HeapPushPop_Int)->Arg(16)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_HeapPushPop_SubtaskPD2(benchmark::State& state) {
-  // The actual PD2 ready-queue element and comparator.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  BinaryHeap<SubtaskRef, SubtaskPriority> heap{SubtaskPriority(Algorithm::kPD2)};
-  Rng rng(2);
-  const auto random_ref = [&rng](TaskId id) {
-    const std::int64_t p = rng.uniform_int(2, 512);
-    const std::int64_t e = rng.uniform_int(1, p);
-    return make_subtask_ref(id, e, p, rng.uniform_int(1, 2 * e), 0);
-  };
-  for (std::size_t i = 0; i < n; ++i) heap.push(random_ref(static_cast<TaskId>(i)));
-  TaskId next = static_cast<TaskId>(n);
-  for (auto _ : state) {
-    heap.push(random_ref(next++));
-    benchmark::DoNotOptimize(heap.pop());
-  }
-}
-BENCHMARK(BM_HeapPushPop_SubtaskPD2)->Arg(16)->Arg(100)->Arg(1000);
 
 void BM_HeapErase_Middle(benchmark::State& state) {
   // Arbitrary-position erase via handles (needed by task leaves).

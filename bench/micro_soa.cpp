@@ -1,8 +1,7 @@
 // SoA lane-sweep microbenches: the two primitives the slot kernel runs
-// every quantum (core/simd.h collect_le / min_value) with SIMD on vs
-// the scalar fallback, plus the end-to-end slot kernel in its four
-// configurations (SoA/SIMD, SoA/scalar, SoA sharded, legacy heap+wheel)
-// at processor counts up to 256.  The lane lengths match real task
+// every quantum (core/simd.h collect_le / min_value), plus the
+// end-to-end slot kernel single-threaded and sharded at processor
+// counts up to 256.  The lane lengths match real task
 // counts (the SoA has one entry per task), and the eligibility hit rate
 // is set near a loaded simulation's (~1/8 of lanes ready per slot) so
 // the gather's push_back rate is representative.
@@ -31,55 +30,44 @@ std::vector<Time> make_lane(std::size_t n, std::uint64_t seed) {
   return lane;
 }
 
-void bm_collect_le(benchmark::State& state, bool use_simd) {
+void BM_CollectLe(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::vector<Time> lane = make_lane(n, 0x50a5);
   std::vector<std::uint32_t> out;
   out.reserve(n);
   for (auto _ : state) {
     out.clear();
-    simd::collect_le(lane.data(), n, /*bound=*/100, 0, out, use_simd);
+    simd::collect_le(lane.data(), n, /*bound=*/100, 0, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
-  state.SetLabel(use_simd ? simd::backend_name() : "scalar");
 }
 
-void bm_min_value(benchmark::State& state, bool use_simd) {
+void BM_MinValue(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::vector<Time> lane = make_lane(n, 0x50a6);
   for (auto _ : state) {
-    Time m = simd::min_value(lane.data(), n, use_simd);
+    Time m = simd::min_value(lane.data(), n);
     benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
-  state.SetLabel(use_simd ? simd::backend_name() : "scalar");
 }
 
-void BM_CollectLe_Simd(benchmark::State& s) { bm_collect_le(s, true); }
-void BM_CollectLe_Scalar(benchmark::State& s) { bm_collect_le(s, false); }
-void BM_MinValue_Simd(benchmark::State& s) { bm_min_value(s, true); }
-void BM_MinValue_Scalar(benchmark::State& s) { bm_min_value(s, false); }
-
-BENCHMARK(BM_CollectLe_Simd)->Arg(256)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_CollectLe_Scalar)->Arg(256)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_MinValue_Simd)->Arg(256)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_MinValue_Scalar)->Arg(256)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_CollectLe)->Arg(256)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_MinValue)->Arg(256)->Arg(4096)->Arg(65536);
 
 // End-to-end slot kernel: one full simulation stepped 256 slots per
 // iteration.  Arg = tasks per processor-count variant; the workload
 // fills the system (the busiest, sweep-heaviest case).
-void bm_kernel(benchmark::State& state, int m, bool soa, int shards, bool simd_on) {
+void bm_kernel(benchmark::State& state, int m, int shards) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(static_cast<std::uint64_t>(n) * 131 + static_cast<std::uint64_t>(m));
   const TaskSet set = generate_feasible_taskset(rng, m, n, 64, /*fill=*/true);
   PfairConfig cfg;
   cfg.processors = m;
-  cfg.soa_kernel = soa;
   cfg.shards = shards;
-  cfg.simd = simd_on;
   PfairSimulator sim(cfg);
   for (const Task& t : set.tasks()) sim.add_task(t);
   Time horizon = 0;
@@ -91,20 +79,14 @@ void bm_kernel(benchmark::State& state, int m, bool soa, int shards, bool simd_o
   state.counters["misses"] = static_cast<double>(sim.metrics().deadline_misses);
 }
 
-void BM_Kernel_64cpu_SoaSimd(benchmark::State& s) { bm_kernel(s, 64, true, 1, true); }
-void BM_Kernel_64cpu_SoaScalar(benchmark::State& s) { bm_kernel(s, 64, true, 1, false); }
-void BM_Kernel_64cpu_Soa2Shards(benchmark::State& s) { bm_kernel(s, 64, true, 2, true); }
-void BM_Kernel_64cpu_Legacy(benchmark::State& s) { bm_kernel(s, 64, false, 1, true); }
-void BM_Kernel_256cpu_SoaSimd(benchmark::State& s) { bm_kernel(s, 256, true, 1, true); }
-void BM_Kernel_256cpu_Soa8Shards(benchmark::State& s) { bm_kernel(s, 256, true, 8, true); }
-void BM_Kernel_256cpu_Legacy(benchmark::State& s) { bm_kernel(s, 256, false, 1, true); }
+void BM_Kernel_64cpu(benchmark::State& s) { bm_kernel(s, 64, 1); }
+void BM_Kernel_64cpu_2Shards(benchmark::State& s) { bm_kernel(s, 64, 2); }
+void BM_Kernel_256cpu(benchmark::State& s) { bm_kernel(s, 256, 1); }
+void BM_Kernel_256cpu_8Shards(benchmark::State& s) { bm_kernel(s, 256, 8); }
 
-BENCHMARK(BM_Kernel_64cpu_SoaSimd)->Arg(512)->Arg(2048);
-BENCHMARK(BM_Kernel_64cpu_SoaScalar)->Arg(512)->Arg(2048);
-BENCHMARK(BM_Kernel_64cpu_Soa2Shards)->Arg(512)->Arg(2048);
-BENCHMARK(BM_Kernel_64cpu_Legacy)->Arg(512)->Arg(2048);
-BENCHMARK(BM_Kernel_256cpu_SoaSimd)->Arg(8192);
-BENCHMARK(BM_Kernel_256cpu_Soa8Shards)->Arg(8192);
-BENCHMARK(BM_Kernel_256cpu_Legacy)->Arg(8192);
+BENCHMARK(BM_Kernel_64cpu)->Arg(512)->Arg(2048);
+BENCHMARK(BM_Kernel_64cpu_2Shards)->Arg(512)->Arg(2048);
+BENCHMARK(BM_Kernel_256cpu)->Arg(8192);
+BENCHMARK(BM_Kernel_256cpu_8Shards)->Arg(8192);
 
 }  // namespace

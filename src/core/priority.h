@@ -28,8 +28,8 @@ enum class Algorithm : std::uint8_t { kPD2, kPF, kPD, kEPDF, kWRR };
 /// A 128-bit totally ordered priority key, compared lexicographically as
 /// (hi, lo).  Packing a comparator's whole decision chain into one key
 /// turns the 4-branch tie-break cascade into a single two-word integer
-/// compare — the dominant operation of every heap sift on the simulator
-/// hot path.  Layouts are algorithm-specific (see priority.cpp); a key
+/// compare — the dominant operation of the slot kernel's top-M
+/// selection.  Layouts are algorithm-specific (see priority.cpp); a key
 /// is only meaningful against keys packed for the same algorithm.
 struct PackedKey {
   std::uint64_t hi = 0;
@@ -47,9 +47,10 @@ struct PackedKey {
 /// falls back to the legacy comparator chain).
 inline constexpr std::uint8_t kKeyNone = 0xff;
 
-/// A schedulable subtask instance in the ready queue.  Carries the task
-/// parameters so comparators are self-contained (PF recursion needs
-/// them), plus cached absolute timing and the precomputed priority key.
+/// A schedulable subtask instance (a task's pending subtask).  Carries
+/// the task parameters so comparators are self-contained (PF recursion
+/// needs them), plus cached absolute timing and the precomputed
+/// priority key.
 struct SubtaskRef {
   TaskId task = kNoTask;
   SubtaskIndex index = 1;   ///< i (1-based within the task's subtask chain)
@@ -133,20 +134,17 @@ class ScopedPd2BBitFlip {
 /// matter).
 [[nodiscard]] bool epdf_higher_priority(const SubtaskRef& a, const SubtaskRef& b) noexcept;
 
-/// Comparator functor selecting one of the rules at construction; usable
-/// as the Less parameter of BinaryHeap.  When both operands carry a
-/// packed key for this comparator's algorithm (and packing is not
-/// disabled), the comparison is a single PackedKey compare; the packing
-/// in priority.cpp guarantees that path returns exactly what the legacy
-/// chain below would, so mixing keyed and keyless refs stays a
-/// consistent strict weak ordering.
+/// Comparator functor selecting one of the rules at construction.  When
+/// both operands carry a packed key for this comparator's algorithm, the
+/// comparison is a single PackedKey compare; the packing in priority.cpp
+/// guarantees that path returns exactly what compare_legacy would, so
+/// mixing keyed and keyless refs stays a consistent strict weak ordering.
 class SubtaskPriority {
  public:
-  explicit SubtaskPriority(Algorithm alg = Algorithm::kPD2, bool packed = true) noexcept
-      : alg_(alg), packed_(packed) {}
+  explicit SubtaskPriority(Algorithm alg = Algorithm::kPD2) noexcept : alg_(alg) {}
 
   [[nodiscard]] bool operator()(const SubtaskRef& a, const SubtaskRef& b) const noexcept {
-    if (packed_ && a.key_alg == static_cast<std::uint8_t>(alg_) &&
+    if (a.key_alg == static_cast<std::uint8_t>(alg_) &&
         b.key_alg == static_cast<std::uint8_t>(alg_)) {
       if (alg_ != Algorithm::kPD2 || !pd2_b_bit_flip_for_test()) [[likely]] {
         return a.key < b.key;
@@ -155,9 +153,9 @@ class SubtaskPriority {
     return compare_legacy(a, b);
   }
 
-  /// The pre-packed-key comparator chain (the reference semantics the
-  /// packed path must reproduce bit-exactly; differential tests compare
-  /// heaps driven by each).
+  /// The comparator chain itself: the reference semantics the packed
+  /// path reproduces bit-exactly, and the live path for PF and for refs
+  /// whose fields do not fit a packed key.
   [[nodiscard]] bool compare_legacy(const SubtaskRef& a, const SubtaskRef& b) const noexcept {
     switch (alg_) {
       case Algorithm::kPF:
@@ -174,17 +172,9 @@ class SubtaskPriority {
   }
 
   [[nodiscard]] Algorithm algorithm() const noexcept { return alg_; }
-  [[nodiscard]] bool packed() const noexcept { return packed_; }
 
  private:
   Algorithm alg_;
-  bool packed_ = true;
 };
 
 }  // namespace pfair
-
-// The ready-queue heap specialization (sifts on PackedKey instead of
-// whole SubtaskRefs).  Included here, after the types it specializes
-// over, so no translation unit can instantiate the primary
-// BinaryHeap<SubtaskRef, SubtaskPriority> and split the ODR.
-#include "core/subtask_heap.h"  // IWYU pragma: keep

@@ -1,4 +1,4 @@
-// PFAIR_SIMD: vectorized sweeps over the SubtaskSoA time lanes.
+// Lane sweeps over the SubtaskSoA time lanes.
 //
 // The SoA slot kernel (sim/subtask_soa.h) reduces the per-quantum work
 // to two primitives over contiguous int64 lanes:
@@ -9,19 +9,8 @@
 //   min_value   - horizontal minimum of a lane (the idle fast-forward:
 //                 "when does the next subtask become eligible").
 //
-// Both have branch-light data-parallel forms: a vector compare produces
-// a mask, the mask drives either a bit-scan index emit or a blend-min.
-// PFAIR_SIMD selects the widest backend the target offers — AVX2 on
-// x86-64, NEON on aarch64 — and every backend is required to produce
-// *bit-identical output* to the scalar fallback (same indices in the
-// same order, same minimum), so a simulation is byte-identical with
-// SIMD on or off.  The differential suite (tests/core/simd_test.cpp,
-// tests/sim/hotpath_diff_test.cpp) pins exactly that.
-//
-// The `use_simd` runtime flag (PfairConfig::simd) lets one binary run
-// both paths, which is what the equivalence tests and the micro bench
-// (bench/micro_soa.cpp) need; when the target has no vector backend the
-// flag is ignored and both paths are the scalar loop.
+// Both are plain loops: hand-written AVX2 forms did not change the slot
+// kernel's end-to-end cost (EXPERIMENTS.md "SIMD A/B").
 #pragma once
 
 #include <cstddef>
@@ -31,152 +20,25 @@
 
 #include "util/types.h"
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#define PFAIR_SIMD 2
-#elif defined(__aarch64__)
-#include <arm_neon.h>
-#define PFAIR_SIMD 1
-#else
-#define PFAIR_SIMD 0
-#endif
-
 namespace pfair::simd {
 
-/// Name of the compiled vector backend ("avx2", "neon", "scalar");
-/// reported by benches so BENCH_*.json records what actually ran.
-[[nodiscard]] constexpr const char* backend_name() noexcept {
-#if PFAIR_SIMD == 2
-  return "avx2";
-#elif PFAIR_SIMD == 1
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
-
-/// True when a vector backend is compiled in (PFAIR_SIMD != 0).
-[[nodiscard]] constexpr bool vectorized() noexcept { return PFAIR_SIMD != 0; }
-
-// --- scalar reference forms ----------------------------------------------
-
-/// Appends base + i for every i < n with vals[i] <= bound, ascending.
-inline void collect_le_scalar(const Time* vals, std::size_t n, Time bound,
-                              std::uint32_t base, std::vector<std::uint32_t>& out) {
+/// Eligibility gather: appends base + i for every i < n with
+/// vals[i] <= bound, in ascending index order (the order is part of the
+/// kernel's determinism contract).
+inline void collect_le(const Time* vals, std::size_t n, Time bound, std::uint32_t base,
+                       std::vector<std::uint32_t>& out) {
   for (std::size_t i = 0; i < n; ++i) {
     if (vals[i] <= bound) out.push_back(base + static_cast<std::uint32_t>(i));
   }
 }
 
-/// Minimum of vals[0..n) (INT64_MAX for n == 0).
-[[nodiscard]] inline Time min_value_scalar(const Time* vals, std::size_t n) noexcept {
+/// Lane minimum (INT64_MAX for n == 0).
+[[nodiscard]] inline Time min_value(const Time* vals, std::size_t n) noexcept {
   Time best = std::numeric_limits<Time>::max();
   for (std::size_t i = 0; i < n; ++i) {
     if (vals[i] < best) best = vals[i];
   }
   return best;
-}
-
-// --- vector backends -----------------------------------------------------
-
-#if PFAIR_SIMD == 2
-
-inline void collect_le_vector(const Time* vals, std::size_t n, Time bound,
-                              std::uint32_t base, std::vector<std::uint32_t>& out) {
-  const __m256i vb = _mm256_set1_epi64x(bound);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
-    // gt = vals > bound per lane; ready lanes are the complement.
-    const __m256i gt = _mm256_cmpgt_epi64(v, vb);
-    unsigned ready =
-        (~static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(gt)))) & 0xfu;
-    while (ready != 0) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(ready));
-      out.push_back(base + static_cast<std::uint32_t>(i + lane));
-      ready &= ready - 1;
-    }
-  }
-  collect_le_scalar(vals + i, n - i, bound, base + static_cast<std::uint32_t>(i), out);
-}
-
-[[nodiscard]] inline Time min_value_vector(const Time* vals, std::size_t n) noexcept {
-  __m256i vmin = _mm256_set1_epi64x(std::numeric_limits<Time>::max());
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i));
-    // AVX2 has no 64-bit min; blend by the (signed) compare mask.
-    const __m256i gt = _mm256_cmpgt_epi64(vmin, v);
-    vmin = _mm256_blendv_epi8(vmin, v, gt);
-  }
-  alignas(32) Time lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vmin);
-  Time best = lanes[0];
-  for (int k = 1; k < 4; ++k) {
-    if (lanes[k] < best) best = lanes[k];
-  }
-  const Time tail = min_value_scalar(vals + i, n - i);
-  return tail < best ? tail : best;
-}
-
-#elif PFAIR_SIMD == 1
-
-inline void collect_le_vector(const Time* vals, std::size_t n, Time bound,
-                              std::uint32_t base, std::vector<std::uint32_t>& out) {
-  const int64x2_t vb = vdupq_n_s64(bound);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t v = vld1q_s64(vals + i);
-    const uint64x2_t le = vcleq_s64(v, vb);
-    if (vgetq_lane_u64(le, 0) != 0) out.push_back(base + static_cast<std::uint32_t>(i));
-    if (vgetq_lane_u64(le, 1) != 0) out.push_back(base + static_cast<std::uint32_t>(i + 1));
-  }
-  collect_le_scalar(vals + i, n - i, bound, base + static_cast<std::uint32_t>(i), out);
-}
-
-[[nodiscard]] inline Time min_value_vector(const Time* vals, std::size_t n) noexcept {
-  int64x2_t vmin = vdupq_n_s64(std::numeric_limits<Time>::max());
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const int64x2_t v = vld1q_s64(vals + i);
-    const uint64x2_t lt = vcltq_s64(v, vmin);
-    vmin = vbslq_s64(lt, v, vmin);
-  }
-  Time best = vgetq_lane_s64(vmin, 0);
-  const Time lane1 = vgetq_lane_s64(vmin, 1);
-  if (lane1 < best) best = lane1;
-  const Time tail = min_value_scalar(vals + i, n - i);
-  return tail < best ? tail : best;
-}
-
-#endif
-
-// --- dispatch ------------------------------------------------------------
-
-/// Eligibility gather: appends base + i for every i < n with
-/// vals[i] <= bound, in ascending index order (all backends agree on
-/// the order — it is part of the determinism contract).
-inline void collect_le(const Time* vals, std::size_t n, Time bound, std::uint32_t base,
-                       std::vector<std::uint32_t>& out, bool use_simd) {
-#if PFAIR_SIMD != 0
-  if (use_simd) {
-    collect_le_vector(vals, n, bound, base, out);
-    return;
-  }
-#else
-  (void)use_simd;
-#endif
-  collect_le_scalar(vals, n, bound, base, out);
-}
-
-/// Lane minimum (INT64_MAX for n == 0).
-[[nodiscard]] inline Time min_value(const Time* vals, std::size_t n, bool use_simd) noexcept {
-#if PFAIR_SIMD != 0
-  if (use_simd) return min_value_vector(vals, n);
-#else
-  (void)use_simd;
-#endif
-  return min_value_scalar(vals, n);
 }
 
 }  // namespace pfair::simd

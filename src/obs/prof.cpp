@@ -106,9 +106,6 @@ constexpr const char* kPhaseNames[kPhaseCount] = {
     "kernel.phase_a",   // kKernelPhaseA
     "kernel.merge",     // kKernelMerge
     "kernel.advance",   // kKernelAdvance
-    "legacy.miss_sweep",// kLegacyMissSweep
-    "legacy.select",    // kLegacySelect
-    "sim.release",      // kRelease
     "sim.assign",       // kAssign
     "sim.admit",        // kAdmit
     "partition.place",  // kPartitionPlace

@@ -1,7 +1,7 @@
 // Scoped self-profiling: phase timers over the engine's own hot paths.
 //
 // A ProfScope wall-clock-times one phase of engine work — a shard's
-// Phase-A sweep, the coordinator merge, a legacy miss sweep, a
+// Phase-A sweep, the coordinator merge, a processor assignment, a
 // ThreadPool job — into per-thread accumulators, merged on demand into
 // the obs::MetricsRegistry as named timers with p50/p95/p99.  Optional
 // span recording additionally logs every (phase, shard, worker, slot,
@@ -53,9 +53,6 @@ enum class Phase : std::uint8_t {
   kKernelPhaseA,    ///< SoA kernel: per-shard gather / miss sweep / top-M
   kKernelMerge,     ///< SoA kernel: sequential k-way merge + selection
   kKernelAdvance,   ///< SoA kernel: per-shard cursor advancement (B2)
-  kLegacyMissSweep, ///< legacy kernel: ready-queue deadline-miss pops
-  kLegacySelect,    ///< legacy kernel: top-M pop + subtask advancement
-  kRelease,         ///< release calendar drain (legacy wheel)
   kAssign,          ///< processor assignment + per-slot accounting
   kAdmit,           ///< admission (admit()/join()) decision path
   kPartitionPlace,  ///< partitioned (EDF-FF) task placement onto processors

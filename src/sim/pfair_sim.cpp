@@ -12,10 +12,7 @@
 namespace pfair {
 
 PfairSimulator::PfairSimulator(PfairConfig config)
-    : config_(config),
-      cmp_(config.algorithm, config.packed_keys),
-      ready_(SubtaskPriority(config.algorithm, config.packed_keys)),
-      timer_(config.measure_overhead) {
+    : config_(config), cmp_(config.algorithm), timer_(config.measure_overhead) {
   assert(config_.processors >= 1);
   if (config_.shards < 1) config_.shards = 1;
   live_processors_ = config_.processors;
@@ -23,14 +20,6 @@ PfairSimulator::PfairSimulator(PfairConfig config)
 }
 
 PfairSimulator::~PfairSimulator() = default;
-
-Algorithm PfairSimulator::ref_algorithm() const noexcept {
-  // The algorithm make_subtask_ref packs keys for.  With packing
-  // disabled (the differential reference mode) refs are built keyless
-  // via kWRR, which never packs, so the heap exercises the legacy
-  // comparator chain end to end.
-  return config_.packed_keys ? config_.algorithm : Algorithm::kWRR;
-}
 
 bool PfairSimulator::admit(const engine::TaskSpec& spec) {
   const obs::prof::ProfScope prof(obs::prof::Phase::kAdmit, -1, now_);
@@ -143,7 +132,7 @@ bool PfairSimulator::leave(TaskId id) {
 void PfairSimulator::force_leave(TaskId id) {
   TaskRuntime& rt = tasks_[id];
   if (!rt.active) return;
-  remove_from_queues(id);
+  soa_.park(id);
   rt.active = false;
   active_weight_ -= rt.spec.weight();
   obs::emit(bus_, obs::EventKind::kTaskLeave, now_, id);
@@ -160,7 +149,7 @@ std::optional<Time> PfairSimulator::request_leave(TaskId id) {
   if (!rt.active) return std::nullopt;
   if (rt.leave_at >= 0) return rt.leave_at;  // already departing
   const Time freed = std::max(now_, earliest_leave(id));
-  remove_from_queues(id);  // stops executing immediately, freezing the rule
+  soa_.park(id);  // stops executing immediately, freezing the rule
   rt.leave_at = freed;
   rt.pending_e = 0;
   rt.pending_p = 0;
@@ -192,7 +181,7 @@ std::optional<Time> PfairSimulator::request_reweight(TaskId id, std::int64_t new
   if (!may_join(active_weight() - rt.spec.weight(), new_w, live_processors_))
     return std::nullopt;
   const Time freed = std::max(now_, earliest_leave(id));
-  remove_from_queues(id);
+  soa_.park(id);
   rt.leave_at = freed;
   rt.pending_e = new_e;
   rt.pending_p = new_p;
@@ -253,7 +242,7 @@ bool PfairSimulator::reweight(TaskId id, std::int64_t new_e, std::int64_t new_p)
   if (rt.allocated > 0 && earliest_leave(id) > now_) return false;
   const Rational new_w(new_e, new_p);
   if (!may_join(active_weight() - rt.spec.weight(), new_w, live_processors_)) return false;
-  remove_from_queues(id);
+  soa_.park(id);
   obs::emit(bus_, obs::EventKind::kTaskLeave, now_, id);
   active_weight_ -= rt.spec.weight();
   rt.spec.execution = new_e;
@@ -342,12 +331,11 @@ void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
   }
   const Time eligible = eligibility_time(id, i, earliest_slot - 1);
   // Build the ref once, here, from the cursor's division-free window
-  // values; the release/selection paths read it unchanged.  Everything
-  // the ref depends on (e, p, offset, alg) is invariant until the
-  // subtask leaves the queues — any mutation goes through
-  // remove_from_queues + a fresh enqueue.  The ref is refreshed
-  // field-wise rather than rebuilt: task/e/p never change and offset
-  // only moves for IS shifts.
+  // values; the slot kernel reads it unchanged.  Everything the ref
+  // depends on (e, p, offset, alg) is invariant while the subtask is
+  // pending — any mutation goes through soa_.park + a fresh enqueue.
+  // The ref is refreshed field-wise rather than rebuilt: task/e/p never
+  // change and offset only moves for IS shifts.
   const std::int64_t e = rt.spec.execution;
   const std::int64_t p = rt.spec.period;
   SubtaskRef& ref = soa_.ref[id];
@@ -363,10 +351,10 @@ void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
   // group deadline".
   const Time gdl = is_heavy(e, p) ? group_deadline(e, p, i) : 0;
   ref.group_dl = gdl == 0 ? 0 : rt.offset + gdl;
-  pack_subtask_ref(ref, ref_algorithm());
+  pack_subtask_ref(ref, config_.algorithm);
 #ifndef NDEBUG
   {
-    const SubtaskRef check = make_subtask_ref(id, e, p, i, rt.offset, ref_algorithm());
+    const SubtaskRef check = make_subtask_ref(id, e, p, i, rt.offset, config_.algorithm);
     assert(check.release == ref.release);
     assert(check.deadline == ref.deadline);
     assert(check.b == ref.b);
@@ -375,73 +363,6 @@ void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
   }
 #endif
   soa_.publish(id, eligible);
-  if (config_.soa_kernel) return;  // lanes are the only queue state
-  if (eligible <= now_) {
-    soa_.ready_handle[id] = ready_.push(ref);
-  } else {
-    soa_.calendar_when[id] = eligible;
-    ++calendar_live_;
-    wheel_.push(eligible, now_, id);
-  }
-}
-
-void PfairSimulator::remove_from_queues(TaskId id) {
-  soa_.park(id);
-  if (config_.soa_kernel) return;
-  HeapHandle& handle = soa_.ready_handle[id];
-  if (handle != kInvalidHandle && ready_.contains(handle)) {
-    ready_.erase(handle);
-  }
-  handle = kInvalidHandle;
-  if (soa_.calendar_when[id] >= 0) {
-    // Lazy wheel erase: the abandoned bucket entry no longer matches
-    // calendar_when and is dropped whenever its bucket next drains.
-    soa_.calendar_when[id] = -1;
-    --calendar_live_;
-  }
-}
-
-void PfairSimulator::release_eligible(Time t) {
-  if (calendar_live_ == 0) return;
-  wheel_.drain_due(t, [&](TaskId id) {
-    if (soa_.calendar_when[id] != t) return;  // stale entry (erased / re-targeted)
-    soa_.calendar_when[id] = -1;
-    --calendar_live_;
-    if (!tasks_[id].active) return;
-    soa_.ready_handle[id] = ready_.push(soa_.ref[id]);
-  });
-}
-
-void PfairSimulator::detect_misses(Time t) {
-  // Entries with deadline <= t sit at the top of the queue (every
-  // priority rule orders by deadline first).  Pop them in priority order
-  // (the obs event order is part of the simulator's contract), count
-  // each miss once, and either drop the subtask or requeue it for late
-  // execution.  A queued entry is always the task's pending ref,
-  // unchanged, so the requeue pushes that instead of hauling popped
-  // copies around.
-  requeue_.clear();
-  while (!ready_.empty() && ready_.top().deadline <= t) {
-    const TaskId id = ready_.top().task;
-    ready_.erase(ready_.top_handle());
-    TaskRuntime& rt = tasks_[id];
-    soa_.ready_handle[id] = kInvalidHandle;
-    if (soa_.miss_counted[id] == 0) {
-      soa_.miss_counted[id] = 1;
-      metrics_.record_miss(t);
-      obs::emit(bus_, obs::EventKind::kDeadlineMiss, t, id);
-    }
-    if (config_.miss_policy == MissPolicy::kDrop) {
-      ++rt.next_index;
-      soa_.cursor[id].advance();
-      enqueue_next_subtask(id, t);
-    } else {
-      requeue_.push_back(id);
-    }
-  }
-  for (const TaskId id : requeue_) {
-    soa_.ready_handle[id] = ready_.push(soa_.ref[id]);
-  }
 }
 
 void PfairSimulator::dispatch_supertask_quantum(TaskRuntime& rt, Time t) {
@@ -509,16 +430,16 @@ void PfairSimulator::simulate_slot() {
   obs::emit(bus_, obs::EventKind::kSlotBegin, t, kNoTask, kNoProc,
             static_cast<double>(std::max(live_processors_, 0)));
 
-  // 2. Releases, 2b. supertask component job releases + miss detection.
-  // Release processing is part of scheduling overhead in the paper's
-  // accounting ("moving a newly-arrived or preempted task to the ready
-  // queue"), so it is included in the measured time.
-  double release_ns = 0.0;
-  {
-    const obs::prof::ProfScope prof(obs::prof::Phase::kRelease, -1, t);
-    release_ns = timer_.measure(metrics_, [&] { release_eligible(t); });
-  }
-  obs::emit(bus_, obs::EventKind::kOverheadNs, t, kNoTask, kNoProc, release_ns);
+  // 2. Phase A: eligibility gather, miss sweep, per-shard top-M.  It is
+  // the kernel's release processing (it finds the subtasks that became
+  // eligible), which the paper's accounting counts as scheduling
+  // overhead ("moving a newly-arrived or preempted task to the ready
+  // queue"), so it is timed and reported as kOverheadNs.
+  const double gather_ns = timer_.measure(metrics_, [&] { soa_gather(t); });
+  obs::emit(bus_, obs::EventKind::kOverheadNs, t, kNoTask, kNoProc, gather_ns);
+
+  // 3. Supertask component job releases + miss detection.  Reads and
+  // writes only supertasks_ and metrics_, never the lanes Phase A read.
   for (SupertaskRuntime& srt : supertasks_) {
     for (ComponentRuntime& c : srt.components) {
       while (c.next_release <= t) {
@@ -545,48 +466,9 @@ void PfairSimulator::simulate_slot() {
     }
   }
 
-  if (config_.soa_kernel) {
-    // 3+4 (SoA): one sharded sweep does miss detection, top-M selection
-    // and advancement; emission happens in the same order as the legacy
-    // path (kDeadlineMiss in priority order, then kSchedInvoke).
-    soa_schedule(t);
-  } else {
-    // 3. Deadline misses among queued subtasks.
-    {
-      const obs::prof::ProfScope prof(obs::prof::Phase::kLegacyMissSweep, -1, t);
-      detect_misses(t);
-    }
-
-    // 4. Scheduler invocation: pop the M highest-priority subtasks and
-    //    advance each task to its next subtask.
-    const obs::prof::ProfScope prof_select(obs::prof::Phase::kLegacySelect, -1, t);
-    timer_.start();
-
-    picked_.clear();
-    const std::size_t want = static_cast<std::size_t>(std::max(live_processors_, 0));
-    while (picked_.size() < want && !ready_.empty()) {
-      const HeapHandle h = ready_.top_handle();
-      const SubtaskRef& ref = ready_.get(h);
-      TaskRuntime& rt = tasks_[ref.task];
-      soa_.ready_handle[ref.task] = kInvalidHandle;
-      rt.last_sched_index = ref.index;
-      picked_.push_back(Pick{ref.task, ref.release, 0});
-      ready_.erase(h);
-    }
-    for (const Pick& pick : picked_) {
-      TaskRuntime& rt = tasks_[pick.task];
-      rt.picked_slot = t;
-      ++rt.next_index;
-      soa_.cursor[pick.task].advance();
-      ++rt.allocated;
-      enqueue_next_subtask(pick.task, t + 1);
-    }
-
-    const double sched_ns = timer_.stop(metrics_);
-    ++metrics_.scheduler_invocations;
-    ++metrics_.scheduling_points;
-    obs::emit(bus_, obs::EventKind::kSchedInvoke, t, kNoTask, kNoProc, sched_ns);
-  }
+  // 4. Scheduler invocation: merge misses (kDeadlineMiss in priority
+  // order) and the global top-M, then advance the picked tasks.
+  soa_select(t);
 
   // 5. Processor assignment with affinity.  assign_ maps processor ->
   // index into picked_ (-1 = idle) so every later lookup (task id,
@@ -756,34 +638,23 @@ Time PfairSimulator::fast_forward_target(Time until) const {
   //   - per-slot lag checking or overhead timing,
   //   - supertasks (component jobs release and miss on their own clock),
   //   - pending orderly departures (their switch-over must fire on time),
-  //   - a non-empty ready queue (something would be scheduled),
+  //   - an eligible pending subtask (something would be scheduled),
   //   - an allocation in the immediately preceding slot (its preemption
   //     accounting can still fire one slot later).
-  // The jump then stops at the next release-calendar entry or processor
-  // event, whichever comes first.
+  // The jump then stops at the next eligibility time or processor event,
+  // whichever comes first.
   if (last_slot_allocated_) return now_;
   if (bus_ != nullptr || config_.check_lags || config_.measure_overhead) return now_;
   if (!supertasks_.empty() || !pending_departures_.empty()) return now_;
   Time target = until;
   if (next_proc_event_ < proc_events_.size())
     target = std::min(target, proc_events_[next_proc_event_].at);
-  if (config_.soa_kernel) {
-    // One lane minimum answers both questions: something eligible now
-    // (no jump) and the next eligibility event (jump bound).  Parked
-    // lanes are kNeverEligible and never win the min.
-    const Time next =
-        simd::min_value(soa_.eligible_at.data(), soa_.size(), config_.simd);
-    if (next <= now_) return now_;
-    target = std::min(target, next);
-  } else {
-    if (!ready_.empty()) return now_;
-    if (calendar_live_ > 0) {
-      const Time ev = wheel_.next_event(now_, target, [this](TaskId id, Time when) {
-        return soa_.calendar_when[id] == when;
-      });
-      target = std::min(target, ev);
-    }
-  }
+  // One lane minimum answers both questions: something eligible now (no
+  // jump) and the next eligibility event (jump bound).  Parked lanes are
+  // kNeverEligible and never win the min.
+  const Time next = simd::min_value(soa_.eligible_at.data(), soa_.size());
+  if (next <= now_) return now_;
+  target = std::min(target, next);
   return std::max(target, now_);
 }
 

@@ -2,11 +2,15 @@
 //
 // The simulator advances time slot by slot.  In each slot it
 //   1. applies pending fault-plan / join / leave events,
-//   2. moves newly eligible subtasks from the release calendar into the
-//      ready queue,
-//   3. detects subtasks whose pseudo-deadline has passed,
-//   4. invokes the scheduler: pop the M highest-priority subtasks
-//      (optionally timing the invocation for the Fig.-2 experiments),
+//   2. gathers the eligible subtasks, detects those whose
+//      pseudo-deadline has passed and selects each shard's M
+//      highest-priority candidates (Phase A of the SoA slot kernel,
+//      sim/slot_kernel.cpp),
+//   3. releases and checks supertask component jobs,
+//   4. invokes the scheduler: merge the shards' candidates into the
+//      global top M and advance each picked task to its next subtask
+//      (Phases B and B2).  Steps 2 and 4 are timed separately for the
+//      Fig.-2 experiments when measure_overhead is set,
 //   5. assigns processors with affinity (a task scheduled in consecutive
 //      quanta keeps its processor — the optimisation the paper uses to
 //      derive the 1 + min(E-1, P-E) context-switch bound),
@@ -34,22 +38,20 @@
 #include "engine/simulator.h"
 #include "core/windows.h"
 #include "obs/bus.h"
-#include "sim/release_wheel.h"
 #include "sim/subtask_soa.h"
 #include "sim/trace.h"
-#include "util/binary_heap.h"
 #include "util/rational.h"
 #include "util/types.h"
 
 namespace pfair {
 
 namespace engine {
-class ThreadPool;  // sim/soa_kernel.cpp; lazily built when shards > 1
+class ThreadPool;  // sim/slot_kernel.cpp; lazily built when shards > 1
 }  // namespace engine
 
 /// What to do with a subtask that is still unscheduled at its deadline.
 enum class MissPolicy : std::uint8_t {
-  kScheduleLate,  ///< keep it in the queue; count the miss once (default)
+  kScheduleLate,  ///< keep it schedulable; count the miss once (default)
   kDrop,          ///< skip the subtask entirely (quantum is forfeited)
 };
 
@@ -61,25 +63,18 @@ struct PfairConfig {
   bool affinity = true;         ///< keep tasks on their processor when possible
                                 ///< (false = naive assignment; ablation)
   bool check_lags = false;      ///< verify Pfair lag bounds every slot (slow; synchronous periodic systems only)
-  bool measure_overhead = false;  ///< steady_clock-time each scheduler invocation
+  bool measure_overhead = false;  ///< steady_clock-time the slot kernel: Phase A
+                                  ///< as kOverheadNs, Phases B + B2 as
+                                  ///< kSchedInvoke (both into sched_ns_total)
   Time lag_sample_every = 0;    ///< emit an obs kLagSample per task every N
                                 ///< slots (0 = off; needs an attached observer)
-  bool packed_keys = true;      ///< precompute PackedKeys so ready-queue sifts
-                                ///< are single integer compares (false = legacy
-                                ///< comparator chain; differential-test reference)
   bool idle_fast_forward = true;  ///< jump over provably idle slot runs in
                                   ///< run_until (auto-disabled whenever any
                                   ///< per-slot work could observe them; see
                                   ///< fast_forward_target)
-  bool soa_kernel = true;  ///< lane-sweep slot kernel over the SubtaskSoA
-                           ///< (false = legacy heap + timing-wheel kernel;
-                           ///< differential-test reference)
   int shards = 1;   ///< task-lane shards the SoA kernel steps in parallel
                     ///< inside each quantum (1 = single-threaded; byte-
-                    ///< identical output for any value; the legacy kernel
-                    ///< ignores it)
-  bool simd = true;  ///< vectorized lane sweeps (false = scalar fallback;
-                     ///< bit-identical — see core/simd.h)
+                    ///< identical output for any value)
 };
 
 /// Scheduled change of the number of live processors (fault injection /
@@ -191,7 +186,7 @@ class PfairSimulator : public engine::Simulator {
   [[nodiscard]] Rational recompute_active_weight() const;
 
   /// Slots skipped by the idle fast-forward (run_until jumping straight
-  /// to the next calendar/processor-event boundary); the counter lives
+  /// to the next eligibility/processor-event boundary); the counter lives
   /// in engine::Metrics so sweeps aggregate it like any other metric.
   [[nodiscard]] std::uint64_t fast_forwarded_slots() const noexcept {
     return metrics_.fast_forwarded_slots;
@@ -248,7 +243,7 @@ class PfairSimulator : public engine::Simulator {
     Time last_sched_slot = -2;         ///< slot of most recent allocation
     Time picked_slot = -2;             ///< slot the scheduler last picked this
                                        ///< task (replaces the O(M) runs-now scan)
-    // Per-pending-subtask state (ref, cursor, eligibility, queue handles,
+    // Per-pending-subtask state (ref, cursor, eligibility, priority key,
     // miss flag) lives in the SubtaskSoA lanes soa_[id], not here — the
     // per-slot sweeps must not stride through this struct.
     Time leave_at = -1;          ///< pending departure (weight frees then)
@@ -259,25 +254,24 @@ class PfairSimulator : public engine::Simulator {
   };
 
   void simulate_slot();
-  void release_eligible(Time t);
-  void detect_misses(Time t);
-  /// Schedules the next subtask of `id`: publishes it to the SoA lanes
-  /// and (legacy kernel only) inserts it into the ready queue or the
-  /// release calendar depending on its eligibility time.
+  /// Schedules the next subtask of `id`: builds its ref and publishes it
+  /// to the SoA lanes with its eligibility time.
   void enqueue_next_subtask(TaskId id, Time earliest);
   /// Eligibility time of subtask `i` of task `id` given that its
   /// predecessor completed at the end of slot `prev_slot` (-1 if none).
   [[nodiscard]] Time eligibility_time(TaskId id, SubtaskIndex i, Time prev_slot) const;
   void dispatch_supertask_quantum(TaskRuntime& rt, Time t);
-  void remove_from_queues(TaskId id);
   void check_lags(Time t_next);
 
-  // --- SoA slot kernel (sim/soa_kernel.cpp) ---
-  /// Steps 3-4 of simulate_slot on the lane layout: miss sweep, top-M
-  /// selection, subtask advancement.  With config_.shards > 1 the sweep
-  /// and advancement fan out across shard_pool_ with a per-quantum
-  /// barrier; the merge/emission phase is sequential and deterministic.
-  void soa_schedule(Time t);
+  // --- SoA slot kernel (sim/slot_kernel.cpp) ---
+  /// Step 2 of simulate_slot: Phase A on every shard (in parallel on
+  /// shard_pool_ when config_.shards > 1, then the per-quantum barrier).
+  /// Emits nothing.
+  void soa_gather(Time t);
+  /// Step 4 of simulate_slot: the sequential merge of the shards' misses
+  /// (emitted in priority order) and top-M candidates into picked_, then
+  /// Phase B2.  Deterministic for any shard count.
+  void soa_select(Time t);
   /// Phase A for one shard: eligibility gather, local miss cascade,
   /// local top-M selection.  Touches only state owned by the shard's
   /// task-id range; emits nothing.
@@ -291,9 +285,6 @@ class PfairSimulator : public engine::Simulator {
   /// Builds shard_pool_ on first use (config_.shards workers).
   void ensure_shard_pool();
   void process_pending_departures(Time t);
-  /// Algorithm passed to make_subtask_ref for key packing (kWRR = no
-  /// keys when packed_keys is off).
-  [[nodiscard]] Algorithm ref_algorithm() const noexcept;
   /// Latest time in (now_, until] the simulation can jump to with every
   /// skipped slot provably idle and unobserved, or now_ when fast-forward
   /// is not eligible.
@@ -310,9 +301,6 @@ class PfairSimulator : public engine::Simulator {
   SubtaskPriority cmp_;              ///< the configured priority order
   std::vector<SupertaskRuntime> supertasks_;
   std::int64_t bound_count_ = 0;             ///< tasks with a fixed processor
-  BinaryHeap<SubtaskRef, SubtaskPriority> ready_;
-  ReleaseWheel wheel_;                       ///< release calendar (O(1) push/drain)
-  std::int64_t calendar_live_ = 0;           ///< tasks with calendar_when >= 0
   std::vector<ProcessorEvent> proc_events_;  ///< sorted by time, applied in order
   std::size_t next_proc_event_ = 0;
   std::vector<TaskId> pending_departures_;   ///< tasks with leave_at set
@@ -335,7 +323,6 @@ class PfairSimulator : public engine::Simulator {
     std::uint8_t placed;  ///< assignment passes: already given a processor
   };
   std::vector<Pick> picked_;
-  std::vector<TaskId> requeue_;              ///< kScheduleLate miss re-inserts
   std::vector<TaskId> prev_slot_tasks_;      ///< proc -> task of previous slot
   std::vector<std::int32_t> assign_;         ///< proc -> index into picked_ (-1 idle)
   // SoA kernel scratch: per-shard phase-A results plus the coordinator's

@@ -18,13 +18,11 @@
 //   key_alg       uint8      packed-compare applicability check
 //   miss_counted  uint8      at-most-once miss accounting
 //
-// plus cold lanes (ref, cursor, ready_handle, calendar_when) that are
-// touched once per enqueue/advance rather than once per slot.  The
-// lanes are the single source of truth in both kernels: the legacy
-// heap+wheel kernel reads/writes them through the same enqueue/remove
-// paths, so the SoA sweep kernel and the legacy kernel run against
-// literally the same state and can be differentially compared cell by
-// cell (tests/sim/hotpath_diff_test.cpp).
+// plus cold lanes (ref, cursor) that are touched once per
+// enqueue/advance rather than once per slot.  The lanes are the only
+// pending-subtask state: there is no ready queue or release calendar,
+// and the slot kernel (sim/slot_kernel.cpp) finds the eligible subtasks
+// of slot t by sweeping eligible_at.
 //
 // Parked convention: a task with no pending subtask (inactive, or
 // departing) has eligible_at = deadline = kNeverEligible, so the
@@ -38,7 +36,6 @@
 
 #include "core/priority.h"
 #include "core/windows.h"
-#include "util/binary_heap.h"
 #include "util/types.h"
 
 namespace pfair {
@@ -59,8 +56,6 @@ struct SubtaskSoA {
   // Cold lanes (touched per enqueue/advance, not per slot).
   std::vector<SubtaskRef> ref;        ///< prebuilt ref of the pending subtask
   std::vector<WindowCursor> cursor;   ///< windows of that subtask, O(1) advance
-  std::vector<HeapHandle> ready_handle;  ///< legacy kernel: ready-queue handle
-  std::vector<Time> calendar_when;       ///< legacy kernel: release-wheel slot (-1 = none)
 
   [[nodiscard]] std::size_t size() const noexcept { return eligible_at.size(); }
 
@@ -75,8 +70,6 @@ struct SubtaskSoA {
       miss_counted.push_back(0);
       ref.emplace_back();
       cursor.emplace_back();
-      ready_handle.push_back(kInvalidHandle);
-      calendar_when.push_back(-1);
     }
   }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.h"
@@ -132,6 +134,122 @@ TEST(SubtaskPriorityFunctor, DispatchesToSelectedRule) {
   EXPECT_TRUE(SubtaskPriority(Algorithm::kEPDF)(gd_earlier, gd_later));
   // Under PD2 the later group deadline wins.
   EXPECT_TRUE(SubtaskPriority(Algorithm::kPD2)(gd_later, gd_earlier));
+}
+
+// A synthetic ref for the packed-key test: ordering fields drawn from
+// narrow ranges starting at `d_base` / `g_base` so deadline, b-bit,
+// group-deadline and weight ties are common, packed for `pack_alg`
+// (which may differ from the comparator's algorithm, leaving the ref
+// keyless for it).  Heavy refs with b = 0 keep a group deadline, which
+// the comparators must ignore.
+struct RefDraw {
+  Time d_base = 1;
+  Time g_base = 1;
+  std::int64_t p_lo = 1;
+  std::int64_t p_hi = 12;
+  TaskId id_base = 0;
+};
+
+SubtaskRef draw_ref(Rng& rng, const RefDraw& r, Algorithm pack_alg) {
+  SubtaskRef s;
+  s.task = r.id_base + static_cast<TaskId>(rng.uniform_int(0, 40));
+  s.p = rng.uniform_int(r.p_lo, r.p_hi);
+  // Mostly heavy, and equal weights recur.
+  s.e = std::max<std::int64_t>(1, s.p - rng.uniform_int(0, 3));
+  s.deadline = r.d_base + rng.uniform_int(0, 3);
+  s.release = s.deadline - 1;
+  s.b = static_cast<int>(rng.uniform_int(0, 1));
+  s.group_dl = rng.uniform_int(0, 2) == 0 ? 0 : r.g_base + rng.uniform_int(0, 3);
+  pack_subtask_ref(s, pack_alg);
+  return s;
+}
+
+// The packed-key fast path of SubtaskPriority must decide every pair
+// exactly as the comparator chain, for keyed, keyless (fields beyond the
+// key layout, or a key packed for another algorithm) and mixed pairs.
+TEST(SubtaskPriorityFunctor, PackedKeysDecideExactlyAsTheComparatorChain) {
+  constexpr Time kPd2DeadlineLimit = Time{1} << 48;
+  constexpr Time kPdDeadlineLimit = Time{1} << 38;
+  struct Regime {
+    Algorithm alg;
+    RefDraw draw;
+  };
+  const Regime regimes[] = {
+      {Algorithm::kPD2, {}},
+      // Deadlines straddle 2^48 and group deadlines 2^47: both sides of
+      // the packing limit in one population.
+      {Algorithm::kPD2, {kPd2DeadlineLimit - 2, (Time{1} << 47) - 2, 1, 12, 0}},
+      {Algorithm::kPD, {}},
+      {Algorithm::kPD, {kPdDeadlineLimit - 2, (Time{1} << 37) - 2, 1, 12, 0}},
+      // Periods straddle 2^16 (the exact weight-rank limit).
+      {Algorithm::kPD, {5, 5, (std::int64_t{1} << 16) - 2, (std::int64_t{1} << 16) + 2, 0}},
+      // Task ids straddle 2^19.
+      {Algorithm::kPD, {5, 5, 1, 12, (TaskId{1} << 19) - 20}},
+      {Algorithm::kEPDF, {}},
+      {Algorithm::kEPDF, {Time{1} << 62, 1, 1, 12, 0}},
+  };
+  const Algorithm others[] = {Algorithm::kPD2, Algorithm::kPD, Algorithm::kEPDF};
+  Rng rng(0x9acc);
+  for (const Regime& regime : regimes) {
+    const SubtaskPriority pri(regime.alg);
+    const auto alg8 = static_cast<std::uint8_t>(regime.alg);
+    std::vector<SubtaskRef> refs;
+    for (int k = 0; k < 120; ++k) {
+      // One in four refs is packed for another algorithm (keyless here).
+      const Algorithm pack_alg =
+          rng.uniform_int(0, 3) == 0 ? others[rng.uniform_int(0, 2)] : regime.alg;
+      refs.push_back(draw_ref(rng, regime.draw, pack_alg));
+    }
+    std::size_t keyed_pairs = 0;
+    std::size_t mixed_pairs = 0;
+    std::size_t keyless_pairs = 0;
+    std::size_t deadline_ties = 0;
+    for (const SubtaskRef& a : refs) {
+      for (const SubtaskRef& b : refs) {
+        const int keyed = (a.key_alg == alg8 ? 1 : 0) + (b.key_alg == alg8 ? 1 : 0);
+        keyed_pairs += keyed == 2 ? 1 : 0;
+        mixed_pairs += keyed == 1 ? 1 : 0;
+        keyless_pairs += keyed == 0 ? 1 : 0;
+        deadline_ties += a.deadline == b.deadline && a.b == b.b ? 1 : 0;
+        ASSERT_EQ(pri(a, b), pri.compare_legacy(a, b))
+            << algorithm_name(regime.alg) << " d_base " << regime.draw.d_base << ": task "
+            << a.task << " (d " << a.deadline << ", b " << a.b << ", D " << a.group_dl
+            << ", " << a.e << "/" << a.p << ") vs task " << b.task << " (d " << b.deadline
+            << ", b " << b.b << ", D " << b.group_dl << ", " << b.e << "/" << b.p << ")";
+      }
+    }
+    EXPECT_GT(keyed_pairs, 0u) << algorithm_name(regime.alg);
+    EXPECT_GT(mixed_pairs, 0u) << algorithm_name(regime.alg);
+    EXPECT_GT(keyless_pairs, 0u) << algorithm_name(regime.alg);
+    EXPECT_GT(deadline_ties, refs.size()) << algorithm_name(regime.alg);
+  }
+}
+
+// The limits themselves: the last value that packs and the first that
+// falls back to kKeyNone.
+TEST(MakeSubtaskRef, PackingLimitsFallBackToKeyNone) {
+  const auto packed_for = [](SubtaskRef s, Algorithm alg) {
+    pack_subtask_ref(s, alg);
+    return s.key_alg;
+  };
+  SubtaskRef s = ref(3, 1, 2, 1);
+  s.deadline = (Time{1} << 48) - 1;
+  EXPECT_EQ(packed_for(s, Algorithm::kPD2), static_cast<std::uint8_t>(Algorithm::kPD2));
+  s.deadline = Time{1} << 48;
+  EXPECT_EQ(packed_for(s, Algorithm::kPD2), kKeyNone);
+
+  s = ref(3, 1, 2, 1);
+  s.p = std::int64_t{1} << 16;
+  EXPECT_EQ(packed_for(s, Algorithm::kPD), static_cast<std::uint8_t>(Algorithm::kPD));
+  s.p = (std::int64_t{1} << 16) + 1;
+  EXPECT_EQ(packed_for(s, Algorithm::kPD), kKeyNone);
+
+  s = ref((TaskId{1} << 19) - 1, 1, 2, 1);
+  EXPECT_EQ(packed_for(s, Algorithm::kPD), static_cast<std::uint8_t>(Algorithm::kPD));
+  s.task = TaskId{1} << 19;
+  EXPECT_EQ(packed_for(s, Algorithm::kPD), kKeyNone);
+
+  EXPECT_EQ(packed_for(ref(0, 3, 4, 1), Algorithm::kPF), kKeyNone);
 }
 
 TEST(AlgorithmName, AllNamed) {

@@ -1,111 +1,40 @@
-// core/simd.h equivalence: every vector backend must produce output
-// bit-identical to the scalar reference — same indices in the same
-// order from collect_le, the same minimum from min_value — across
-// lengths that cover full vector blocks, tails, and empty input, and
-// across value patterns including the kNeverEligible sentinel and
-// negative times.  On targets compiled without a vector backend the two
-// paths are the same loop and the suite degenerates to a self-check.
+// core/simd.h lane sweeps: edge cases of the two loops the slot kernel
+// runs every quantum — appending without clearing, empty and all-parked
+// lanes (the kNeverEligible sentinel), and the int64 extremes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "core/simd.h"
 #include "sim/subtask_soa.h"
-#include "util/rng.h"
 
 namespace pfair {
 namespace {
 
-std::vector<Time> random_lane(Rng& rng, std::size_t n) {
-  std::vector<Time> vals;
-  vals.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    switch (rng.uniform_int(0, 5)) {
-      case 0:
-        vals.push_back(kNeverEligible);  // parked task
-        break;
-      case 1:
-        vals.push_back(rng.uniform_int(-4, 4));  // near-zero / negative
-        break;
-      default:
-        vals.push_back(rng.uniform_int(0, 1000));
-        break;
-    }
-  }
-  return vals;
-}
-
-TEST(Simd, BackendNameMatchesVectorizedFlag) {
-  const std::string name = simd::backend_name();
-  if (simd::vectorized()) {
-    EXPECT_TRUE(name == "avx2" || name == "neon") << name;
-  } else {
-    EXPECT_EQ(name, "scalar");
-  }
-}
-
-TEST(Simd, CollectLeMatchesScalarOnRandomLanes) {
-  Rng rng(0x51d0);
-  // Lengths straddle the AVX2 (4-lane) and NEON (2-lane) block sizes.
-  for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u,
-                              17u, 33u, 64u, 100u, 257u}) {
-    const std::vector<Time> vals = random_lane(rng, n);
-    for (const Time bound : {Time{-1}, Time{0}, Time{3}, Time{500}, Time{1000},
-                             kNeverEligible}) {
-      std::vector<std::uint32_t> scalar_out, simd_out;
-      simd::collect_le(vals.data(), n, bound, /*base=*/7, scalar_out, false);
-      simd::collect_le(vals.data(), n, bound, /*base=*/7, simd_out, true);
-      ASSERT_EQ(scalar_out, simd_out) << "n=" << n << " bound=" << bound;
-      // Cross-check against a trivially correct oracle.
-      std::vector<std::uint32_t> expect;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (vals[i] <= bound) expect.push_back(7 + static_cast<std::uint32_t>(i));
-      }
-      ASSERT_EQ(scalar_out, expect) << "n=" << n << " bound=" << bound;
-    }
-  }
-}
-
 TEST(Simd, CollectLeAppendsWithoutClearing) {
   const std::vector<Time> vals = {1, 5, 2};
   std::vector<std::uint32_t> out = {99};
-  simd::collect_le(vals.data(), vals.size(), 2, 0, out, simd::vectorized());
+  simd::collect_le(vals.data(), vals.size(), 2, 0, out);
   const std::vector<std::uint32_t> expect = {99, 0, 2};
   EXPECT_EQ(out, expect);
 }
 
-TEST(Simd, MinValueMatchesScalarOnRandomLanes) {
-  Rng rng(0x51d1);
-  for (const std::size_t n :
-       {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 31u, 64u, 257u}) {
-    const std::vector<Time> vals = random_lane(rng, n);
-    const Time scalar_min = simd::min_value(vals.data(), n, false);
-    const Time simd_min = simd::min_value(vals.data(), n, true);
-    ASSERT_EQ(scalar_min, simd_min) << "n=" << n;
-    Time expect = std::numeric_limits<Time>::max();
-    for (const Time v : vals) expect = v < expect ? v : expect;
-    ASSERT_EQ(scalar_min, expect) << "n=" << n;
-  }
-}
-
 TEST(Simd, MinValueOfEmptyAndAllParkedIsNeverEligible) {
-  EXPECT_EQ(simd::min_value(nullptr, 0, true), std::numeric_limits<Time>::max());
+  EXPECT_EQ(simd::min_value(nullptr, 0), std::numeric_limits<Time>::max());
   const std::vector<Time> parked(13, kNeverEligible);
-  EXPECT_EQ(simd::min_value(parked.data(), parked.size(), true), kNeverEligible);
-  EXPECT_EQ(simd::min_value(parked.data(), parked.size(), false), kNeverEligible);
+  EXPECT_EQ(simd::min_value(parked.data(), parked.size()), kNeverEligible);
+  std::vector<std::uint32_t> out;
+  simd::collect_le(parked.data(), parked.size(), 1000, 0, out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(Simd, MinValueHandlesExtremes) {
   const std::vector<Time> vals = {std::numeric_limits<Time>::max(),
                                   std::numeric_limits<Time>::min(), 0, 42,
                                   std::numeric_limits<Time>::max()};
-  EXPECT_EQ(simd::min_value(vals.data(), vals.size(), true),
-            std::numeric_limits<Time>::min());
-  EXPECT_EQ(simd::min_value(vals.data(), vals.size(), false),
-            std::numeric_limits<Time>::min());
+  EXPECT_EQ(simd::min_value(vals.data(), vals.size()), std::numeric_limits<Time>::min());
 }
 
 }  // namespace

@@ -38,7 +38,6 @@ ProfRun run_seeded(int shards, bool prof, bool spans, bool perfetto_out) {
   PfairConfig cfg;
   cfg.processors = 4;
   cfg.algorithm = Algorithm::kPD2;
-  cfg.soa_kernel = true;
   cfg.shards = shards;
   PfairSimulator sim(cfg);
 

@@ -117,13 +117,13 @@ TEST_F(ProfTest, AttachedScopesAggregateIntoPhaseTotals) {
 TEST_F(ProfTest, SnapshotIntoPublishesTimersUnderPhaseNames) {
   prof::set_enabled(true);
   { const prof::ProfScope s(prof::Phase::kKernelPhaseA, 2, 10); }
-  { const prof::ProfScope s(prof::Phase::kRelease, -1, 10); }
+  { const prof::ProfScope s(prof::Phase::kAssign, -1, 10); }
   prof::snapshot_into(MetricsRegistry::global());
   const json::Value snap = MetricsRegistry::global().snapshot();
   const json::Value* timers = snap.find("timers");
   ASSERT_NE(timers, nullptr);
   EXPECT_NE(timers->find("kernel.phase_a"), nullptr);
-  EXPECT_NE(timers->find("sim.release"), nullptr);
+  EXPECT_NE(timers->find("sim.assign"), nullptr);
   EXPECT_EQ(timers->find("kernel.merge"), nullptr);  // zero samples: skipped
 }
 

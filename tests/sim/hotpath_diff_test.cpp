@@ -1,102 +1,24 @@
 // Hot-path equivalence suite: the perf machinery (packed priority keys,
-// calendar ready queue, idle fast-forward, incremental bookkeeping) must
+// sharded lane sweeps, idle fast-forward, incremental bookkeeping) must
 // be invisible — byte-identical metrics, traces, and event streams
-// against the reference configurations it replaced.
+// across shard counts and against per-slot stepping.  The golden digests
+// (golden_digest_test.cpp) pin the same corpus to fixed values; the
+// cell-by-cell comparisons here locate the first divergence when one
+// moves.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "golden_corpus.h"
 #include "obs/bus.h"
-#include "qa/gen.h"
 #include "sim/pfair_sim.h"
 #include "workload/generator.h"
 
 namespace pfair {
 namespace {
 
-/// Captures the full typed event stream for exact comparison.
-class RecordingSink final : public obs::Sink {
- public:
-  void on_event(const obs::Event& e) override { events_.push_back(e); }
-  [[nodiscard]] const std::vector<obs::Event>& events() const noexcept {
-    return events_;
-  }
-
- private:
-  std::vector<obs::Event> events_;
-};
-
-struct RunResult {
-  engine::Metrics metrics;
-  ScheduleTrace trace;
-  std::vector<obs::Event> events;
-  std::uint64_t ff_slots = 0;
-};
-
-/// Slot-kernel variant: which of the byte-identical implementations a
-/// run uses (SoA lane sweeps vs legacy heap+wheel, shard count, SIMD vs
-/// scalar sweeps, miss policy).
-struct Kernel {
-  bool soa = true;
-  int shards = 1;
-  bool simd = true;
-  MissPolicy policy = MissPolicy::kScheduleLate;
-};
-
-/// Replays a fuzz case (including its dynamic join/leave script, in the
-/// same order qa's oracle replay applies it) under one configuration.
-RunResult run_case(const qa::FuzzCase& c, Algorithm alg, bool packed_keys,
-                   bool fast_forward, bool observe, Kernel k = {}) {
-  PfairConfig cfg;
-  cfg.processors = c.processors;
-  cfg.algorithm = alg;
-  cfg.record_trace = true;
-  cfg.packed_keys = packed_keys;
-  cfg.idle_fast_forward = fast_forward;
-  cfg.soa_kernel = k.soa;
-  cfg.shards = k.shards;
-  cfg.simd = k.simd;
-  cfg.miss_policy = k.policy;
-  PfairSimulator sim(cfg);
-  obs::EventBus bus;
-  RecordingSink sink;
-  if (observe) {
-    bus.add_sink(&sink);
-    sim.attach_observer(&bus);
-  }
-  for (const Task& t : c.tasks.tasks()) {
-    Task spec = t;
-    spec.kind = c.kind;
-    sim.add_task(spec);
-  }
-  std::size_t next_join = 0;
-  std::size_t next_leave = 0;
-  while (next_join < c.joins.size() || next_leave < c.leaves.size()) {
-    const Time t_join = next_join < c.joins.size() ? c.joins[next_join].at : c.horizon;
-    const Time t_leave =
-        next_leave < c.leaves.size() ? c.leaves[next_leave].at : c.horizon;
-    const Time at = std::min({t_join, t_leave, c.horizon});
-    if (at >= c.horizon) break;
-    sim.run_until(at);
-    while (next_leave < c.leaves.size() && c.leaves[next_leave].at == at) {
-      sim.request_leave(c.leaves[next_leave].task);
-      ++next_leave;
-    }
-    while (next_join < c.joins.size() && c.joins[next_join].at == at) {
-      Task spec = c.joins[next_join].task;
-      spec.kind = c.kind;
-      (void)sim.join(spec);
-      ++next_join;
-    }
-  }
-  sim.run_until(c.horizon);
-  RunResult r;
-  r.metrics = sim.metrics();
-  r.trace = sim.trace();
-  r.events = sink.events();
-  r.ff_slots = sim.fast_forwarded_slots();
-  return r;
-}
+using golden::RecordingSink;
+using golden::sparse_set;
 
 void expect_metrics_identical(const engine::Metrics& a, const engine::Metrics& b,
                               const std::string& what) {
@@ -142,159 +64,76 @@ void expect_events_identical(const std::vector<obs::Event>& a,
   }
 }
 
-// --- packed keys vs the legacy comparator chain --------------------------
+void expect_runs_identical(const golden::Run& a, const golden::Run& b,
+                           const std::string& what) {
+  expect_metrics_identical(a.metrics, b.metrics, what);
+  expect_traces_identical(a.trace, b.trace, what);
+  expect_events_identical(a.events, b.events, what);
+}
 
-// Every generator profile x every subtask-priority algorithm: the packed
-// 128-bit key path and the legacy tie-break chain must produce the same
-// schedule down to the last observer event.  The observer also forces
-// the per-slot path (fast-forward auto-disables), so this isolates the
-// ready-queue representation as the only variable.
-TEST(HotpathDiff, PackedKeysMatchLegacyOnEveryProfileAndAlgorithm) {
-  const Algorithm algs[] = {Algorithm::kPD2, Algorithm::kPF, Algorithm::kPD,
-                            Algorithm::kEPDF};
-  for (const qa::Profile profile : qa::all_profiles()) {
-    qa::GenConfig gc;
-    gc.only_profile = profile;
-    gc.max_processors = 4;
-    gc.max_tasks = 10;
-    const qa::TaskSetGen gen(gc, /*seed=*/0x90a7 + static_cast<int>(profile));
-    for (std::uint64_t index = 0; index < 3; ++index) {
-      const qa::FuzzCase c = gen.make_case(index);
-      for (const Algorithm alg : algs) {
-        const std::string what = std::string(qa::profile_name(profile)) + "/" +
-                                 algorithm_name(alg) + "/case " +
-                                 std::to_string(index);
-        const RunResult packed = run_case(c, alg, /*packed_keys=*/true,
-                                          /*fast_forward=*/true, /*observe=*/true);
-        const RunResult legacy = run_case(c, alg, /*packed_keys=*/false,
-                                          /*fast_forward=*/true, /*observe=*/true);
-        expect_metrics_identical(packed.metrics, legacy.metrics, what);
-        expect_traces_identical(packed.trace, legacy.trace, what);
-        expect_events_identical(packed.events, legacy.events, what);
+/// Runs every case at shards 2 and 8 and compares each run with the
+/// single-shard run, metric by metric, slot by slot and event by event.
+void expect_shards_identical(const std::vector<golden::Case>& cases) {
+  for (const golden::Case& c : cases) {
+    const std::vector<golden::Run> one = c.runs(1);
+    for (const int shards : {2, 8}) {
+      const std::vector<golden::Run> cell = c.runs(shards);
+      ASSERT_EQ(cell.size(), one.size()) << c.name;
+      for (std::size_t i = 0; i < one.size(); ++i) {
+        expect_runs_identical(cell[i], one[i], c.name + "/run " + std::to_string(i) +
+                                                   "/shards " + std::to_string(shards));
       }
     }
   }
 }
 
-// --- SoA kernel x shards x SIMD matrix -----------------------------------
+// --- sharded SoA kernel ---------------------------------------------------
 
-// The three-axis differential matrix: {SoA, legacy} x {shards 1, 2, 8} x
-// {SIMD, scalar}, for every generator profile and every algorithm.  The
-// legacy heap+wheel kernel (which ignores shards and simd) is the
-// reference; every SoA cell must reproduce its metrics, trace, and full
-// obs event stream byte for byte.  The observer forces the per-slot
-// path, so the sweep/merge machinery itself is what's compared.
-TEST(HotpathDiff, SoaShardSimdMatrixMatchesLegacyOnEveryProfileAndAlgorithm) {
-  const Algorithm algs[] = {Algorithm::kPD2, Algorithm::kPF, Algorithm::kPD,
-                            Algorithm::kEPDF};
-  const int shard_counts[] = {1, 2, 8};
-  for (const qa::Profile profile : qa::all_profiles()) {
-    qa::GenConfig gc;
-    gc.only_profile = profile;
-    gc.max_processors = 4;
-    gc.max_tasks = 10;
-    const qa::TaskSetGen gen(gc, /*seed=*/0x50a0 + static_cast<int>(profile));
-    for (std::uint64_t index = 0; index < 2; ++index) {
-      const qa::FuzzCase c = gen.make_case(index);
-      for (const Algorithm alg : algs) {
-        const std::string base = std::string(qa::profile_name(profile)) + "/" +
-                                 algorithm_name(alg) + "/case " +
-                                 std::to_string(index);
-        const RunResult ref =
-            run_case(c, alg, /*packed_keys=*/true, /*fast_forward=*/true,
-                     /*observe=*/true, Kernel{/*soa=*/false, 1, true, {}});
-        for (const int shards : shard_counts) {
-          for (const bool simd : {true, false}) {
-            const std::string what = base + "/shards " + std::to_string(shards) +
-                                     (simd ? "/simd" : "/scalar");
-            const RunResult cell =
-                run_case(c, alg, /*packed_keys=*/true, /*fast_forward=*/true,
-                         /*observe=*/true, Kernel{/*soa=*/true, shards, simd, {}});
-            expect_metrics_identical(cell.metrics, ref.metrics, what);
-            expect_traces_identical(cell.trace, ref.trace, what);
-            expect_events_identical(cell.events, ref.events, what);
-          }
-        }
-      }
-    }
-  }
+// Every generator profile x every subtask-priority algorithm.  The
+// observer forces the per-slot path, so the sweep/merge machinery itself
+// is what's compared.
+TEST(HotpathDiff, ShardedRunsMatchSingleShardOnEveryProfileAndAlgorithm) {
+  expect_shards_identical(golden::profile_cases());
 }
 
-// kDrop exercises the miss cascade (dropping a missed subtask can
-// release an already-missed successor); EPDF on overloaded heavy sets
-// actually misses.  The cascade is the one phase-A step that mutates
-// lanes mid-sweep, so it gets its own matrix pass.
-TEST(HotpathDiff, DropPolicyCascadeMatchesAcrossKernelsAndShards) {
-  qa::GenConfig gc;
-  gc.only_profile = qa::Profile::kHeavy;
-  gc.max_processors = 3;
-  gc.max_tasks = 8;
-  const qa::TaskSetGen gen(gc, /*seed=*/0xd309);
-  for (std::uint64_t index = 0; index < 4; ++index) {
-    const qa::FuzzCase c = gen.make_case(index);
-    for (const Algorithm alg : {Algorithm::kEPDF, Algorithm::kPD2}) {
-      const std::string base = std::string("drop/") + algorithm_name(alg) +
-                               "/case " + std::to_string(index);
-      const RunResult ref = run_case(
-          c, alg, /*packed_keys=*/true, /*fast_forward=*/true,
-          /*observe=*/true, Kernel{/*soa=*/false, 1, true, MissPolicy::kDrop});
-      for (const int shards : {1, 2, 8}) {
-        const std::string what = base + "/shards " + std::to_string(shards);
-        const RunResult cell = run_case(
-            c, alg, /*packed_keys=*/true, /*fast_forward=*/true,
-            /*observe=*/true, Kernel{/*soa=*/true, shards, true, MissPolicy::kDrop});
-        expect_metrics_identical(cell.metrics, ref.metrics, what);
-        expect_traces_identical(cell.trace, ref.trace, what);
-        expect_events_identical(cell.events, ref.events, what);
-      }
+// kDrop runs the miss cascade (dropping a missed subtask releases its
+// successor), the one phase-A step that mutates lanes mid-sweep.
+TEST(HotpathDiff, DropPolicyCascadeMatchesAcrossShards) {
+  expect_shards_identical(golden::drop_cases());
+}
+
+// Runs that really miss: the per-shard miss lists must merge into one
+// priority-ordered kDeadlineMiss sequence, late subtasks must be counted
+// once however long they wait, and dropped ones must not be counted
+// again.
+TEST(HotpathDiff, MissingRunsMatchAcrossShards) {
+  const std::vector<golden::Case> cases = golden::miss_cases();
+  std::size_t runs = 0;
+  std::size_t missing = 0;
+  for (const golden::Case& c : cases) {
+    for (const golden::Run& r : c.runs(1)) {
+      ++runs;
+      if (r.metrics.deadline_misses > 0) ++missing;
     }
   }
+  // Only PD2, PF and PD on EPDF's counterexample stay miss-free.
+  EXPECT_EQ(missing, runs - 3);
+  expect_shards_identical(cases);
 }
 
 // Supertasks run through the shared steps of the slot kernel (component
-// release/dispatch), so a sharded SoA run with servers plus ordinary
-// tasks must match the legacy kernel including component-miss
-// accounting.
-TEST(HotpathDiff, ShardedSupertasksMatchLegacyKernel) {
-  auto build_and_run = [](const Kernel& k) {
-    PfairConfig cfg;
-    cfg.processors = 2;
-    cfg.record_trace = true;
-    cfg.soa_kernel = k.soa;
-    cfg.shards = k.shards;
-    cfg.simd = k.simd;
-    PfairSimulator sim(cfg);
-    SupertaskSpec spec;
-    spec.execution = 2;
-    spec.period = 5;
-    spec.components.push_back(make_task(1, 4));
-    spec.components.push_back(make_task(1, 8));
-    sim.add_supertask(spec, /*bound_proc=*/0);
-    sim.add_task(make_task(3, 7));
-    sim.add_task(make_task(1, 3));
-    sim.run_until(400);
-    return std::make_pair(sim.metrics(), sim.trace());
-  };
-  const auto [ref_metrics, ref_trace] =
-      build_and_run(Kernel{/*soa=*/false, 1, true, {}});
-  for (const int shards : {1, 2, 8}) {
-    const auto [m, tr] = build_and_run(Kernel{/*soa=*/true, shards, true, {}});
-    const std::string what = "supertask shards " + std::to_string(shards);
-    expect_metrics_identical(m, ref_metrics, what);
-    expect_traces_identical(tr, ref_trace, what);
+// release/dispatch), so a sharded run with a bound server plus ordinary
+// tasks must match the single-shard run, component misses included.
+TEST(HotpathDiff, ShardedSupertasksMatchSingleShard) {
+  const golden::Run one = golden::run_bound_supertask(1);
+  EXPECT_GT(one.metrics.component_switches, 0u);
+  for (const int shards : {2, 8}) {
+    expect_runs_identical(golden::run_bound_supertask(shards), one,
+                          "supertask shards " + std::to_string(shards));
   }
 }
 
 // --- idle fast-forward ---------------------------------------------------
-
-/// A sparse set whose schedule has long provably-idle stretches.
-TaskSet sparse_set() {
-  TaskSet set;
-  set.add(make_task(1, 32));
-  set.add(make_task(1, 48));
-  set.add(make_task(2, 64));
-  return set;
-}
 
 // Fast-forward on vs off, with the horizon split at every boundary: the
 // jump must be invisible in metrics and trace no matter where run_until
@@ -380,34 +219,18 @@ TEST(HotpathDiff, FastForwardAutoDisablesDuringPendingDeparture) {
 }
 
 TEST(HotpathDiff, FastForwardStopsAtProcessorEvents) {
-  // A fault event sits in the middle of a long idle stretch; runs with
+  // A total outage sits in the middle of a long idle stretch; runs with
   // and without fast-forward must apply it at the same instant.  The
-  // jump target comes from the release wheel in the legacy kernel and
-  // from the eligible_at lane minimum in the SoA kernel, so both are
-  // differenced against the per-slot reference.
-  auto run = [](bool ff, bool soa) {
-    PfairConfig cfg;
-    cfg.processors = 2;
-    cfg.record_trace = true;
-    cfg.idle_fast_forward = ff;
-    cfg.soa_kernel = soa;
-    PfairSimulator sim(cfg);
-    const TaskSet sparse = sparse_set();
-    for (const Task& t : sparse.tasks()) sim.add_task(t);
-    sim.add_processor_event({100, 0});  // total outage mid-idle
-    sim.add_processor_event({130, 2});
-    sim.run_until(300);
-    if (ff) {
-      EXPECT_GT(sim.fast_forwarded_slots(), 0u);
-    }
-    return std::make_pair(sim.metrics(), sim.trace());
-  };
-  const auto [ref_metrics, ref_trace] = run(false, false);
-  for (const bool soa : {false, true}) {
-    const auto [ff_metrics, ff_trace] = run(true, soa);
-    const std::string what = soa ? "soa ff vs per-slot" : "legacy ff vs per-slot";
-    expect_metrics_identical(ff_metrics, ref_metrics, what);
-    expect_traces_identical(ff_trace, ref_trace, what);
+  // jump target comes from the eligible_at lane minimum, clipped at the
+  // next processor event.
+  const golden::Run per_slot = golden::run_outage(1, /*fast_forward=*/false);
+  EXPECT_EQ(per_slot.metrics.fast_forwarded_slots, 0u);
+  for (const int shards : {1, 2, 8}) {
+    const golden::Run ff = golden::run_outage(shards);
+    EXPECT_GT(ff.metrics.fast_forwarded_slots, 0u);
+    const std::string what = "ff vs per-slot, shards " + std::to_string(shards);
+    expect_metrics_identical(ff.metrics, per_slot.metrics, what);
+    expect_traces_identical(ff.trace, per_slot.trace, what);
   }
 }
 
