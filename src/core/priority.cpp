@@ -1,23 +1,6 @@
 #include "core/priority.h"
 
-#include <atomic>
-
 namespace pfair {
-
-namespace {
-// Relaxed atomic: campaigns read it concurrently from worker threads,
-// but it is only written while no simulation is running.  The unflipped
-// fast path costs one predictable not-taken branch per comparison.
-std::atomic<bool> g_pd2_b_bit_flipped{false};
-}  // namespace
-
-void set_pd2_b_bit_flip_for_test(bool flipped) noexcept {
-  g_pd2_b_bit_flipped.store(flipped, std::memory_order_relaxed);
-}
-
-bool pd2_b_bit_flip_for_test() noexcept {
-  return g_pd2_b_bit_flipped.load(std::memory_order_relaxed);
-}
 
 const char* algorithm_name(Algorithm a) noexcept {
   switch (a) {
@@ -161,7 +144,7 @@ SubtaskRef make_subtask_ref(TaskId task, std::int64_t e, std::int64_t p, Subtask
 bool pd2_higher_priority(const SubtaskRef& a, const SubtaskRef& b) noexcept {
   if (a.deadline != b.deadline) return a.deadline < b.deadline;
   if (a.b != b.b) {
-    if (g_pd2_b_bit_flipped.load(std::memory_order_relaxed)) [[unlikely]] {
+    if (pd2_b_bit_flip_for_test()) [[unlikely]] {
       return a.b < b.b;  // injected bug: prefers b = 0 (see priority.h)
     }
     return a.b > b.b;

@@ -13,6 +13,7 @@
 //   PD2 [Anderson & Srinivasan 00]: b-bit, then *later* group deadline.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 #include "core/windows.h"
@@ -110,8 +111,21 @@ void pack_subtask_ref(SubtaskRef& s, Algorithm alg) noexcept;
 /// and PD are unaffected, so the differential oracle sees the optimal
 /// algorithms disagree.  Never set outside tests or `pfair_fuzz
 /// --inject-pd2-b-bit-flip`.
-void set_pd2_b_bit_flip_for_test(bool flipped) noexcept;
-[[nodiscard]] bool pd2_b_bit_flip_for_test() noexcept;
+///
+/// The flag is a relaxed atomic: campaigns read it concurrently from
+/// worker threads, but it is only written while no simulation is
+/// running.  Its load is inline, so the unflipped fast path costs one
+/// predictable not-taken branch and no call.
+namespace detail {
+inline std::atomic<bool> pd2_b_bit_flipped{false};
+}  // namespace detail
+
+inline void set_pd2_b_bit_flip_for_test(bool flipped) noexcept {
+  detail::pd2_b_bit_flipped.store(flipped, std::memory_order_relaxed);
+}
+[[nodiscard]] inline bool pd2_b_bit_flip_for_test() noexcept {
+  return detail::pd2_b_bit_flipped.load(std::memory_order_relaxed);
+}
 
 /// RAII guard around the flip flag for exception-safe tests.
 class ScopedPd2BBitFlip {

@@ -32,7 +32,7 @@ bool RunSimulator::admit(const engine::TaskSpec& spec) {
   // reduction requires sum e/p <= M, so admission is capacity-checked
   // (unlike PD2, which accepts anything and lets misses surface).
   std::int64_t sum_num = checked_mul(e, new_lcm / p);
-  for (std::size_t i = 0; i < tasks_.size(); ++i)
+  for (TaskId i = 0; i < tasks_.size(); ++i)
     sum_num += checked_mul(tasks_[i].execution, new_lcm / tasks_[i].period);
   if (sum_num > checked_mul(config_.processors, new_lcm))
     return reject();
@@ -50,10 +50,10 @@ void RunSimulator::build_tree() {
   // pads the effective processor count to an exact integral rate sum.
   std::int64_t sum_num = 0;
   Time max_period = 1;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+  for (TaskId i = 0; i < tasks_.size(); ++i) {
     Node leaf;
     leaf.kind = Node::Kind::kLeaf;
-    leaf.task = static_cast<TaskId>(i);
+    leaf.task = i;
     leaf.period = tasks_[i].period;
     leaf.rate_num = checked_mul(tasks_[i].execution, ticks_ / tasks_[i].period);
     leaf.job_work = checked_mul(tasks_[i].execution, ticks_);
@@ -79,7 +79,7 @@ void RunSimulator::build_tree() {
   }
   leaf_proc_.assign(nodes_.size() + 1, kNoProc);  // grows below with packs/duals
 
-  for (std::size_t i = 0; i < tasks_.size(); ++i)
+  for (TaskId i = 0; i < tasks_.size(); ++i)
     distinct_periods_.push_back(tasks_[i].period);
   std::sort(distinct_periods_.begin(), distinct_periods_.end());
   distinct_periods_.erase(

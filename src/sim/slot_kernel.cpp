@@ -6,10 +6,10 @@
 //
 //   Phase A  (soa_gather; parallel, one job per shard) — eligibility
 //            gather over the shard's contiguous task-id range, local
-//            miss sweep / kDrop cascade, local top-M selection.  Touches
-//            only lanes the shard owns plus shared *read-only* state;
-//            emits nothing, so nothing in phase A races or observes
-//            ordering.
+//            miss sweep (and kDrop advance), local top-M selection.
+//            Touches only lanes the shard owns plus shared *read-only*
+//            state; emits nothing, so nothing in phase A races or
+//            observes ordering.
 //   barrier  ThreadPool::wait() — the per-quantum synchronization point.
 //   Phase B  (soa_select; sequential coordinator) — deterministic k-way
 //            merge of the per-shard results in priority order, with all
@@ -20,11 +20,10 @@
 //
 // Determinism argument: every priority rule ends in a task-id tie-break,
 // so subtask priority is a strict *total* order.  Phase A produces its
-// missed / top lists sorted under that order (the kDrop cascade pops a
-// local heap, and a cascade insert is always lower-priority than the
-// pop that produced it — deadlines strictly increase along a task's
-// subtask chain — so pop order is sorted too).  Merging sorted lists
-// under a total order has exactly one outcome, independent of shard
+// missed / top lists sorted under that order (the rank selection and
+// the comparator sort agree exactly, because packed keys encode the
+// comparator chain bit for bit and end in the task id).  Merging sorted
+// lists under a total order has exactly one outcome, independent of shard
 // count and thread scheduling; the single-shard emission sequence is
 // that same sorted order.  Hence byte-identical output for shards ∈
 // {1, 2, 8, ...}, which tests/sim/golden_digest_test.cpp pins.
@@ -71,54 +70,65 @@ void PfairSimulator::soa_phase_a(ShardScratch& s, Time t) {
 
   // Miss sweep.  Only *eligible* subtasks can miss (a late subtask can
   // have deadline < eligible_at; it must not be counted until it becomes
-  // eligible).
-  if (config_.miss_policy == MissPolicy::kScheduleLate) {
-    // Missed subtasks stay schedulable; count each at most once, in
-    // priority order (the emission order merged in phase B).
-    for (const std::uint32_t id : s.candidates) {
-      if (soa_.deadline[id] <= t && soa_.miss_counted[id] == 0) s.work.push_back(id);
-    }
+  // eligible).  Each miss is counted at most once, in priority order
+  // (the emission order merged in phase B).
+  for (const std::uint32_t id : s.candidates) {
+    if (soa_.deadline[id] <= t && soa_.miss_counted[id] == 0) s.work.push_back(id);
+  }
+  if (!s.work.empty()) {
     std::sort(s.work.begin(), s.work.end(), higher);
     for (const std::uint32_t id : s.work) {
       soa_.miss_counted[id] = 1;
       s.missed.push_back(soa_.ref[id]);
     }
-  } else {
-    // kDrop: cascade through a local heap in priority order — dropping a
-    // missed subtask releases its successor, which may itself already be
-    // eligible and missed.  Snapshot each newly counted ref before the
-    // advance overwrites its lanes.
-    const auto lower = [&higher](std::uint32_t a, std::uint32_t b) { return higher(b, a); };
-    for (const std::uint32_t id : s.candidates) {
-      if (soa_.deadline[id] <= t) s.work.push_back(id);
-    }
-    std::make_heap(s.work.begin(), s.work.end(), lower);
-    while (!s.work.empty()) {
-      std::pop_heap(s.work.begin(), s.work.end(), lower);
-      const std::uint32_t id = s.work.back();
-      s.work.pop_back();
-      if (soa_.miss_counted[id] == 0) {
-        soa_.miss_counted[id] = 1;
-        s.missed.push_back(soa_.ref[id]);
+    if (config_.miss_policy == MissPolicy::kDrop) {
+      // Drop each missed subtask and release its successor.  No cascade:
+      // under kDrop every subtask is picked or dropped by its deadline,
+      // so this miss is caught at t = d exactly, and successive Pfair
+      // deadlines strictly increase, so the successor's deadline d' > t
+      // cannot have passed.  It may be eligible now; the regather lets
+      // the selection see it.
+      for (const std::uint32_t id : s.work) {
+        ++tasks_[id].next_index;
+        soa_.cursor[id].advance();
+        enqueue_next_subtask(id, t);
+        assert(soa_.deadline[id] > t);
       }
-      ++tasks_[id].next_index;
-      soa_.cursor[id].advance();
-      enqueue_next_subtask(id, t);
-      if (soa_.eligible_at[id] <= t && soa_.deadline[id] <= t) {
-        s.work.push_back(id);
-        std::push_heap(s.work.begin(), s.work.end(), lower);
-      }
+      s.candidates.clear();
+      simd::collect_le(elig + s.begin, s.end - s.begin, t, s.begin, s.candidates);
     }
-    // The cascade changed eligibility lanes; regather for selection.
-    s.candidates.clear();
-    simd::collect_le(elig + s.begin, s.end - s.begin, t, s.begin, s.candidates);
   }
 
   // Local top-M: the global top-M is contained in the union of per-shard
   // top-Ms, so M picks per shard is all the coordinator ever needs.
   const auto want = static_cast<std::size_t>(std::max(live_processors_, 0));
-  const std::size_t k = std::min(want, s.candidates.size());
+  const std::size_t c = s.candidates.size();
+  const std::size_t k = std::min(want, c);
   if (k == 0) return;
+
+  // A loaded slot has about M eligible subtasks, and ranking that few by
+  // packed key beats sorting them (simd::rank_pays).  Ranking needs every
+  // candidate keyed for this algorithm and the keys to decide (the PD2
+  // flip flag reorders b-bit ties, which the keys do not encode); both
+  // are checked here, once per shard per slot, not in every comparison.
+  const bool keys_decide = cmp_.algorithm() != Algorithm::kPD2 || !pd2_b_bit_flip_for_test();
+  if (keys_decide && simd::rank_pays(c, k)) {
+    const auto alg8 = static_cast<std::uint8_t>(cmp_.algorithm());
+    unsigned keyed = 1;
+    for (std::size_t i = 0; i < c; ++i) {
+      const std::uint32_t id = s.candidates[i];
+      s.key_hi[i] = soa_.key_hi[id];
+      s.key_lo[i] = soa_.key_lo[id];
+      keyed &= static_cast<unsigned>(soa_.key_alg[id] == alg8);
+    }
+    if (keyed != 0) {
+      simd::rank_select(s.key_hi.data(), s.key_lo.data(), s.candidates.data(), c, k, s.top);
+      return;
+    }
+  }
+  // Large sets (the first slots of a wide system, few processors with a
+  // long queue) and unkeyed refs (PF, key overflow, the flip flag) sort
+  // with the comparator.
   s.top.assign(s.candidates.begin(), s.candidates.end());
   std::partial_sort(s.top.begin(), s.top.begin() + static_cast<std::ptrdiff_t>(k),
                     s.top.end(), higher);

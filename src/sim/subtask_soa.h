@@ -30,11 +30,13 @@
 // and the fast-forward minimum naturally ignores it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "core/priority.h"
+#include "core/simd.h"
 #include "core/windows.h"
 #include "util/types.h"
 
@@ -99,10 +101,13 @@ struct SubtaskSoA {
 struct ShardScratch {
   std::uint32_t begin = 0;  ///< first task id owned this slot
   std::uint32_t end = 0;    ///< one past the last task id owned this slot
-  std::vector<std::uint32_t> candidates;  ///< eligible at t, ascending id
+  simd::IndexVec candidates;       ///< eligible at t, ascending id
   std::vector<SubtaskRef> missed;  ///< newly counted misses, priority order
-  std::vector<std::uint32_t> top;  ///< local top-M picks, priority order
-  std::vector<std::uint32_t> work;  ///< miss-cascade worklist / sort scratch
+  simd::IndexVec top;              ///< local top-M picks, priority order
+  std::vector<std::uint32_t> work;  ///< newly missed ids, sorted in place
+  /// Compact copy of the candidates' packed keys for simd::rank_select.
+  std::array<std::uint64_t, simd::kRankBlock> key_hi{};
+  std::array<std::uint64_t, simd::kRankBlock> key_lo{};
 };
 
 }  // namespace pfair

@@ -78,7 +78,9 @@ TEST(Windows, WindowLengthsWithinKnownBounds) {
         const Time len = window_length(e, p, i);
         EXPECT_GE(len, base == 1 ? 1 : base - 0) << e << "/" << p;
         EXPECT_LE(len, base + 1) << e << "/" << p << " i=" << i;
-        if (e == p) EXPECT_EQ(len, 1);
+        if (e == p) {
+          EXPECT_EQ(len, 1);
+        }
         if (2 * e >= p && e < p) {
           EXPECT_GE(len, 2);
           EXPECT_LE(len, 3);

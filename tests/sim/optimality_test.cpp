@@ -74,27 +74,27 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(cases(Algorithm::kPD2, {{1, false}, {2, false}, {3, false}, {4, false},
                                                 {8, false}, {1, true}, {2, true}, {3, true},
                                                 {4, true}, {8, true}})),
-    [](const auto& info) {
-      return std::string("m") + std::to_string(info.param.processors) +
-             (info.param.fill ? "_full" : "_slack");
+    [](const auto& param_info) {
+      return std::string("m") + std::to_string(param_info.param.processors) +
+             (param_info.param.fill ? "_full" : "_slack");
     });
 
 INSTANTIATE_TEST_SUITE_P(
     PF, OptimalityTest,
     ::testing::ValuesIn(cases(Algorithm::kPF, {{2, true}, {3, true}, {4, true}, {2, false},
                                                {4, false}})),
-    [](const auto& info) {
-      return std::string("m") + std::to_string(info.param.processors) +
-             (info.param.fill ? "_full" : "_slack");
+    [](const auto& param_info) {
+      return std::string("m") + std::to_string(param_info.param.processors) +
+             (param_info.param.fill ? "_full" : "_slack");
     });
 
 INSTANTIATE_TEST_SUITE_P(
     PD, OptimalityTest,
     ::testing::ValuesIn(cases(Algorithm::kPD, {{2, true}, {3, true}, {4, true}, {2, false},
                                                {4, false}})),
-    [](const auto& info) {
-      return std::string("m") + std::to_string(info.param.processors) +
-             (info.param.fill ? "_full" : "_slack");
+    [](const auto& param_info) {
+      return std::string("m") + std::to_string(param_info.param.processors) +
+             (param_info.param.fill ? "_full" : "_slack");
     });
 
 // Early release keeps all deadlines too (ERfair optimality, [2]); lags

@@ -106,7 +106,9 @@ TEST(BinaryHeap, RandomisedAgainstMultiset) {
       h.update(live[i].first);
       live[i].second = nv;
     }
-    if (step % 500 == 0) ASSERT_TRUE(h.validate());
+    if (step % 500 == 0) {
+      ASSERT_TRUE(h.validate());
+    }
   }
   EXPECT_EQ(h.size(), live.size());
   EXPECT_GT(pops, 100u);
