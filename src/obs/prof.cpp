@@ -3,15 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <deque>
 #include <mutex>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <x86intrin.h>
-#define PFAIR_PROF_TSC 1
-#endif
 
 #include "obs/registry.h"
 
@@ -112,34 +106,6 @@ constexpr const char* kPhaseNames[kPhaseCount] = {
     "pool.job",         // kPoolJob
 };
 
-std::uint64_t steady_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-#ifdef PFAIR_PROF_TSC
-/// ns per TSC tick, calibrated once against steady_clock over a ~200 µs
-/// spin (~0.1% accurate — plenty for a profiler).  set_enabled(true)
-/// calibrates eagerly so no timed scope pays the spin; the fallback in
-/// now_ns() covers scopes racing an uncalibrated enable.  Concurrent
-/// calibrations store near-identical factors — harmless.
-std::atomic<double> g_ns_per_tick{0.0};
-
-double calibrate_tsc() noexcept {
-  const std::uint64_t s0 = steady_ns();
-  const std::uint64_t t0 = __rdtsc();
-  while (steady_ns() - s0 < 200000) {
-  }
-  const std::uint64_t s1 = steady_ns();
-  const std::uint64_t t1 = __rdtsc();
-  const double f = static_cast<double>(s1 - s0) / static_cast<double>(t1 - t0);
-  g_ns_per_tick.store(f, std::memory_order_relaxed);
-  return f;
-}
-#endif
-
 }  // namespace
 
 const char* phase_name(Phase p) noexcept {
@@ -147,16 +113,6 @@ const char* phase_name(Phase p) noexcept {
 }
 
 namespace detail {
-
-std::uint64_t now_ns() noexcept {
-#ifdef PFAIR_PROF_TSC
-  double f = g_ns_per_tick.load(std::memory_order_relaxed);
-  if (f == 0.0) f = calibrate_tsc();
-  return static_cast<std::uint64_t>(static_cast<double>(__rdtsc()) * f);
-#else
-  return steady_ns();
-#endif
-}
 
 void record(Phase p, std::int32_t shard, Time slot, std::uint64_t ns) {
   ThreadBuf& b = local_buf();
@@ -179,9 +135,8 @@ void record(Phase p, std::int32_t shard, Time slot, std::uint64_t ns) {
 }  // namespace detail
 
 void set_enabled(bool on) noexcept {
-#ifdef PFAIR_PROF_TSC
-  if (on && g_ns_per_tick.load(std::memory_order_relaxed) == 0.0) calibrate_tsc();
-#endif
+  // Warm the clock so no timed scope pays its one-time calibration.
+  if (on) static_cast<void>(approx_now_ns());
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
 

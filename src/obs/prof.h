@@ -11,9 +11,9 @@
 // Cost model (the reason this can live inside the slot kernel):
 //   - detached (the default): ProfScope construction is one relaxed
 //     atomic load and a branch — no clock is read, nothing is stored;
-//   - attached: two TSC reads (calibrated to ns once; steady_clock on
-//     non-x86) plus a handful of relaxed single-writer atomic updates —
-//     no lock, no search — per scope.  Measured overhead is in
+//   - attached: two obs::approx_now_ns() reads (the TSC, calibrated to
+//     ns once; steady_clock on non-x86) plus a handful of relaxed
+//     single-writer atomic updates — no lock, no search — per scope.  Measured overhead is in
 //     EXPERIMENTS.md "Profiling".
 //
 // Determinism: profiling writes only to prof's own thread-local buffers
@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/fastclock.h"
 #include "obs/histogram.h"
 #include "util/types.h"
 
@@ -68,8 +69,8 @@ extern std::atomic<bool> g_enabled;
 extern std::atomic<bool> g_spans;
 /// Records one finished scope into the calling thread's buffer.
 void record(Phase p, std::int32_t shard, Time slot, std::uint64_t ns);
-/// Monotonic nanosecond clock (steady_clock).
-[[nodiscard]] std::uint64_t now_ns() noexcept;
+/// Monotonic nanosecond clock: obs::approx_now_ns().
+[[nodiscard]] inline std::uint64_t now_ns() noexcept { return approx_now_ns(); }
 }  // namespace detail
 
 /// Master switch.  Everything below is inert (and ProfScope free) while

@@ -1,10 +1,8 @@
 #include "serve/exact_gedf.h"
 
-#include <algorithm>
-#include <queue>
-#include <set>
-#include <utility>
+#include <limits>
 
+#include "sim/global_job_sim.h"
 #include "util/math.h"
 
 namespace pfair::serve {
@@ -38,85 +36,33 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& tasks, int m,
   for (const UniTask& t : tasks) h = saturating_lcm(h, t.period);
   out.hyperperiod = h;
 
-  const std::size_t n = tasks.size();
-  // Per-task job state.  Implicit deadlines mean at most one live job
-  // per task — a live predecessor at its release IS the miss that ends
-  // the test, so no job queue is needed.
-  //
-  // Two ordered structures replace the per-event O(n) scans the first
-  // cut of this test paid (the Tier-2 hot path at large n):
-  //
-  //   - `releases`, a min-heap of (next release, task): pops due
-  //     releases in (time, index) order — the same order the old
-  //     index sweep visited them, so the *first* miss found is the
-  //     same one;
-  //   - `live`, a set ordered by (priority key, index) — deadline for
-  //     EDF, period for RM, ties by task index, matching
-  //     GlobalJobSimulator::higher_priority exactly — whose first
-  //     min(m, |live|) elements ARE the running set, no nth_element.
-  //
-  // Event count, verdicts, and miss times are unchanged: the loop
-  // structure (releases, H check, budget, one event per running-set
-  // epoch) is identical, only the per-event cost drops from O(n) to
-  // O((releases + completions) log n + m).
-  using Rel = std::pair<Time, std::uint32_t>;
-  std::priority_queue<Rel, std::vector<Rel>, std::greater<Rel>> releases;
-  std::vector<std::int64_t> remaining(n, 0);
-  std::set<std::pair<Time, std::uint32_t>> live;  // (EDF deadline | RM period, index)
-  for (std::size_t i = 0; i < n; ++i)
-    releases.push({Time{0}, static_cast<std::uint32_t>(i)});
-  const bool edf = algorithm == UniAlgorithm::kEDF;
-
-  Time t = 0;
+  GlobalJobCore core(algorithm, m);
+  for (const UniTask& t : tasks) core.add_task(t, 0);
+  constexpr Time kNever = std::numeric_limits<Time>::max();
   while (true) {
-    // Releases due now; a live predecessor has missed its deadline
-    // (deadline == this release under implicit deadlines).
-    while (!releases.empty() && releases.top().first == t) {
-      const std::uint32_t i = releases.top().second;
-      releases.pop();
-      if (remaining[i] > 0) {
-        out.verdict = GedfVerdict::kUnschedulable;
-        out.first_miss = t;
-        out.simulated = t;
-        return out;
-      }
-      remaining[i] = tasks[i].execution;
-      live.insert({edf ? t + tasks[i].period : tasks[i].period, i});
-      releases.push({t + tasks[i].period, i});
+    // Under implicit deadlines a live predecessor at a release IS a
+    // miss, and the first one ends the test.
+    bool missed = false;
+    core.release_due([&](const GlobalJobCore::Job&, bool late) { missed = missed || late; });
+    out.simulated = core.now();
+    if (missed) {
+      out.verdict = GedfVerdict::kUnschedulable;
+      out.first_miss = core.now();
+      return out;
     }
     // A clean pass through t == H means every job released in [0, H)
     // completed by its deadline; the state at H equals the state at 0,
     // so the schedule repeats forever.
-    if (t >= h) {
+    if (core.now() >= h) {
       out.verdict = GedfVerdict::kSchedulable;
-      out.simulated = t;
       return out;
     }
     if (out.events >= max_events) {
       out.verdict = GedfVerdict::kBudgetExceeded;
-      out.simulated = t;
       return out;
     }
     ++out.events;
-
-    // The running set is constant until the next release or the first
-    // completion among the m highest-priority live jobs.
-    const std::size_t run = std::min(live.size(), static_cast<std::size_t>(m));
-    Time delta = releases.top().first - t;
-    auto it = live.begin();
-    for (std::size_t k = 0; k < run; ++k, ++it)
-      delta = std::min<Time>(delta, remaining[it->second]);
-    it = live.begin();
-    for (std::size_t k = 0; k < run; ++k) {
-      const std::uint32_t i = it->second;
-      remaining[i] -= delta;
-      if (remaining[i] == 0) {
-        it = live.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    t += delta;
+    core.advance_to(core.next_event(kNever));
   }
 }
 

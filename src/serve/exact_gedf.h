@@ -14,11 +14,13 @@
 // time H (hyperperiods explode combinatorially; the admission gate
 // falls back to its Tier-1 answer, marked approximate).
 //
-// Tie-breaking matches GlobalJobSimulator exactly (deadline, then task
-// index, for EDF; period, then task index, for RM), so the verdict is a
-// statement about the scheduler the daemon actually serves — the
-// differential test in tests/serve/exact_gedf_test.cpp holds the two
-// to each other.
+// The test runs GlobalJobCore (sim/global_job_sim.h), the event loop
+// and tie-break of the GlobalJobSimulator the daemon serves, so the
+// verdict is a statement about the served schedule.  The gate passes
+// the set in canonical (period, execution) order; the core's tie-break
+// depends only on the multiset, which keeps the Tier-2 memo sound.
+// tests/serve/exact_gedf_test.cpp holds the test to the simulator fed
+// the same set in other orders.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +53,9 @@ struct GedfResult {
 /// Runs the exact test for `tasks` on `m` processors under global
 /// `algorithm` (preemptive, deterministic tie-break).  `max_events`
 /// bounds the work: each event is one release or completion boundary
-/// and costs O(n log n).  Invalid tasks or total utilization above m
-/// are rejected immediately (necessary condition; no budget spent).
+/// and costs O(m) plus O(log n) per release or completion.  An invalid
+/// task is rejected immediately (no budget spent); total utilization
+/// above m is not pre-checked, the simulation finds its miss.
 [[nodiscard]] GedfResult exact_global_schedulable(
     const std::vector<UniTask>& tasks, int m,
     UniAlgorithm algorithm = UniAlgorithm::kEDF, std::uint64_t max_events = 1u << 20);

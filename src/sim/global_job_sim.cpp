@@ -1,17 +1,27 @@
 #include "sim/global_job_sim.h"
 
-#include <algorithm>
 #include <cassert>
-#include <limits>
+#include <iterator>
+#include <tuple>
 
 namespace pfair {
 
+GlobalJobCore::GlobalJobCore(UniAlgorithm algorithm, int processors)
+    : algorithm_(algorithm), processors_(static_cast<std::size_t>(processors)) {
+  assert(processors >= 1);
+}
+
+void GlobalJobCore::add_task(const UniTask& task, Time release) {
+  assert(task.valid() && release >= now_);
+  releases_.push({release, static_cast<TaskId>(tasks_.size())});
+  tasks_.push_back(task);
+  live_count_.push_back(0);
+}
+
 GlobalJobSimulator::GlobalJobSimulator(std::vector<UniTask> tasks, GlobalJobConfig config)
-    : tasks_(std::move(tasks)),
-      config_(config),
-      next_release_(tasks_.size(), 0),
-      live_jobs_(tasks_.size(), 0) {
-  assert(config_.processors >= 1);
+    : core_(config.algorithm, config.processors),
+      proc_taken_(static_cast<std::size_t>(config.processors)) {
+  for (const UniTask& t : tasks) core_.add_task(t, 0);
 }
 
 bool GlobalJobSimulator::admit(const engine::TaskSpec& spec) {
@@ -20,118 +30,82 @@ bool GlobalJobSimulator::admit(const engine::TaskSpec& spec) {
     ++metrics_.tasks_rejected;
     return false;
   }
-  tasks_.push_back(t);
-  next_release_.push_back(now_);
-  live_jobs_.push_back(0);
+  core_.add_task(t, core_.now());
   ++metrics_.tasks_admitted;
   return true;
 }
 
-bool GlobalJobSimulator::higher_priority(const Job& a, const Job& b) const {
-  if (config_.algorithm == UniAlgorithm::kEDF) {
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-  } else {
-    if (tasks_[a.task].period != tasks_[b.task].period)
-      return tasks_[a.task].period < tasks_[b.task].period;
-  }
-  return a.task < b.task;
-}
-
-void GlobalJobSimulator::release_jobs(Time t) {
-  for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
-    while (next_release_[i] <= t) {
-      // Implicit deadline = next release: a live predecessor missed.
-      if (live_jobs_[i] > 0) {
-        metrics_.record_miss(next_release_[i]);
-        obs::emit(bus_, obs::EventKind::kDeadlineMiss, next_release_[i], i);
-      }
-      ready_.push_back(Job{i, next_release_[i] + tasks_[i].period, tasks_[i].execution,
-                           kNoProc, false});
-      ++metrics_.jobs_released;
-      ++live_jobs_[i];
-      obs::emit(bus_, obs::EventKind::kJobRelease, next_release_[i], i, kNoProc,
-                static_cast<double>(next_release_[i] + tasks_[i].period));
-      next_release_[i] += tasks_[i].period;
-    }
-  }
-}
-
-Time GlobalJobSimulator::next_release_time() const {
-  Time best = std::numeric_limits<Time>::max();
-  for (const Time r : next_release_) best = std::min(best, r);
-  return best;
-}
-
 void GlobalJobSimulator::run_until(Time until) {
-  while (now_ < until) {
-    release_jobs(now_);
+  while (core_.now() < until) {
+    const Time now = core_.now();
+    core_.release_due([&](const Job& j, bool missed) {
+      // Implicit deadline = this release: a live predecessor missed.
+      if (missed) {
+        metrics_.record_miss(now);
+        obs::emit(bus_, obs::EventKind::kDeadlineMiss, now, j.task);
+      }
+      ++metrics_.jobs_released;
+      obs::emit(bus_, obs::EventKind::kJobRelease, now, j.task, kNoProc,
+                static_cast<double>(now + j.period));
+    });
 
-    // Select the M highest-priority incomplete jobs.
-    std::vector<Job*> order;
-    order.reserve(ready_.size());
-    for (Job& j : ready_) order.push_back(&j);
-    std::sort(order.begin(), order.end(),
-              [&](const Job* a, const Job* b) { return higher_priority(*a, *b); });
-    const std::size_t running =
-        std::min<std::size_t>(order.size(), static_cast<std::size_t>(config_.processors));
-
-    // Preemption accounting: was running, still incomplete, now not.
-    for (std::size_t k = running; k < order.size(); ++k) {
-      if (order[k]->running_prev) {
+    // The running set is the core's first `running` jobs.  A job that
+    // ran in the last step and is no longer among them is preempted.
+    const auto first = core_.live().begin();
+    const auto last = std::next(first, static_cast<std::ptrdiff_t>(core_.running()));
+    for (const Job* j : ran_) {
+      if (first == last || *std::prev(last) < *j) {
         ++metrics_.preemptions;
-        obs::emit(bus_, obs::EventKind::kPreemption, now_, order[k]->task,
-                  order[k]->last_proc, -1.0);
+        obs::emit(bus_, obs::EventKind::kPreemption, now, j->task, j->proc, -1.0);
       }
-      order[k]->running_prev = false;
     }
-    // Processor assignment with affinity among the selected jobs.
-    std::vector<bool> proc_taken(static_cast<std::size_t>(config_.processors), false);
-    std::vector<Job*> needs_proc;
-    for (std::size_t k = 0; k < running; ++k) {
-      Job* j = order[k];
-      if (j->last_proc != kNoProc && !proc_taken[j->last_proc]) {
-        proc_taken[j->last_proc] = true;
+    // Processor assignment with affinity among the running jobs.
+    std::fill(proc_taken_.begin(), proc_taken_.end(), char{0});
+    needs_proc_.clear();
+    for (auto it = first; it != last; ++it) {
+      if (it->proc != kNoProc && proc_taken_[it->proc] == 0) {
+        proc_taken_[it->proc] = 1;
       } else {
-        needs_proc.push_back(j);
+        needs_proc_.push_back(&*it);
       }
     }
-    for (Job* j : needs_proc) {
+    for (const Job* j : needs_proc_) {
       ProcId p = 0;
-      while (proc_taken[p]) ++p;
-      proc_taken[p] = true;
-      if (j->last_proc != kNoProc && j->last_proc != p) {
+      while (proc_taken_[p] != 0) ++p;
+      proc_taken_[p] = 1;
+      if (j->proc != kNoProc && j->proc != p) {
         ++metrics_.migrations;
-        obs::emit(bus_, obs::EventKind::kMigration, now_, j->task, p,
-                  static_cast<double>(j->last_proc));
+        obs::emit(bus_, obs::EventKind::kMigration, now, j->task, p,
+                  static_cast<double>(j->proc));
       }
-      j->last_proc = p;
+      j->proc = p;
     }
 
-    // Advance to the next event: release or earliest completion.
-    Time advance_to = std::min(next_release_time(), until);
-    for (std::size_t k = 0; k < running; ++k)
-      advance_to = std::min(advance_to, now_ + order[k]->remaining);
-    if (advance_to <= now_) advance_to = now_ + 1;  // safety
-    const Time delta = advance_to - now_;
-
-    for (std::size_t k = 0; k < running; ++k) {
-      obs::emit(bus_, obs::EventKind::kExecSlice, now_, order[k]->task,
-                order[k]->last_proc, static_cast<double>(delta));
-      order[k]->remaining -= delta;
-      order[k]->running_prev = true;
-    }
-    now_ = advance_to;
-
-    // Retire completed jobs.
-    for (std::size_t i = ready_.size(); i-- > 0;) {
-      if (ready_[i].remaining == 0) {
-        ++metrics_.jobs_completed;
-        // value = -1: response times are not tracked by this simulator.
-        obs::emit(bus_, obs::EventKind::kJobComplete, now_, ready_[i].task,
-                  ready_[i].last_proc, -1.0);
-        --live_jobs_[ready_[i].task];
-        ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(i));
+    // The running jobs that complete at `next` leave the core in
+    // advance_to(); the others ran this step and stay live.
+    const Time next = core_.next_event(until);
+    const Time delta = next - now;
+    ran_.clear();
+    done_.clear();
+    for (auto it = first; it != last; ++it) {
+      obs::emit(bus_, obs::EventKind::kExecSlice, now, it->task, it->proc,
+                static_cast<double>(delta));
+      if (it->remaining == delta) {
+        done_.push_back(*it);
+      } else {
+        ran_.push_back(&*it);
       }
+    }
+    core_.advance_to(next);
+
+    // Retire the completed jobs, latest release first.
+    std::sort(done_.begin(), done_.end(), [](const Job& a, const Job& b) {
+      return std::tie(b.release, b.task) < std::tie(a.release, a.task);
+    });
+    for (const Job& j : done_) {
+      ++metrics_.jobs_completed;
+      // value = -1: response times are not tracked by this simulator.
+      obs::emit(bus_, obs::EventKind::kJobComplete, next, j.task, j.proc, -1.0);
     }
   }
 }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "sim/global_job_sim.h"
@@ -54,10 +56,14 @@ TEST(ExactGedf, VerdictNamesAreStable) {
   EXPECT_STREQ(to_string(GedfVerdict::kBudgetExceeded), "budget-exceeded");
 }
 
-/// The exact test claims to be a statement about GlobalJobSimulator:
-/// schedulable iff the simulator stays miss-free through H.  Hold the
-/// two to each other over seeded random sets (periods drawn from a
-/// divisor-friendly pool so hyperperiods stay small enough to simulate).
+/// The exact test claims to be a statement about the served
+/// GlobalJobSimulator: schedulable iff the simulator stays miss-free
+/// through H.  The gate judges a set in canonical (period, execution)
+/// order, but the daemon serves it in admission order, so the simulator
+/// gets each set canonical, shuffled and reversed, and every run must
+/// agree with the one exact verdict.  Seeded random sets; periods come
+/// from a divisor-friendly pool so hyperperiods stay small enough to
+/// simulate, and so equal deadlines (the tie-break's cases) are common.
 void differential_sweep(UniAlgorithm algorithm) {
   const std::int64_t periods[] = {2, 3, 4, 6, 8, 12};
   Rng rng(algorithm == UniAlgorithm::kEDF ? 101 : 202);
@@ -69,22 +75,29 @@ void differential_sweep(UniAlgorithm algorithm) {
       const std::int64_t p = periods[rng.uniform_int(0, 5)];
       tasks.push_back(UniTask{rng.uniform_int(1, p), p});
     }
+    std::sort(tasks.begin(), tasks.end(), [](const UniTask& a, const UniTask& b) {
+      return a.period != b.period ? a.period < b.period : a.execution < b.execution;
+    });
     Time h = 1;
     for (const UniTask& t : tasks) h = saturating_lcm(h, t.period);
 
     const GedfResult exact = exact_global_schedulable(tasks, m, algorithm);
     ASSERT_NE(exact.verdict, GedfVerdict::kBudgetExceeded);
 
-    GlobalJobConfig cfg;
-    cfg.processors = m;
-    cfg.algorithm = algorithm;
-    GlobalJobSimulator sim(tasks, cfg);
-    sim.run_until(h + 1);
-    const bool sim_clean = sim.metrics().deadline_misses == 0;
-    EXPECT_EQ(exact.verdict == GedfVerdict::kSchedulable, sim_clean)
-        << "trial " << trial << ": m=" << m << " n=" << n
-        << " exact=" << to_string(exact.verdict)
-        << " sim_misses=" << sim.metrics().deadline_misses;
+    std::vector<UniTask> shuffled = tasks;
+    rng.shuffle(shuffled);
+    const std::vector<UniTask> reversed(tasks.rbegin(), tasks.rend());
+    const std::pair<const char*, const std::vector<UniTask>*> orders[] = {
+        {"canonical", &tasks}, {"shuffled", &shuffled}, {"reversed", &reversed}};
+    for (const auto& [order, served] : orders) {
+      GlobalJobSimulator sim(*served, GlobalJobConfig{m, algorithm});
+      sim.run_until(h + 1);
+      const bool sim_clean = sim.metrics().deadline_misses == 0;
+      EXPECT_EQ(exact.verdict == GedfVerdict::kSchedulable, sim_clean)
+          << "trial " << trial << " (" << order << "): m=" << m << " n=" << n
+          << " exact=" << to_string(exact.verdict)
+          << " sim_misses=" << sim.metrics().deadline_misses;
+    }
   }
 }
 
